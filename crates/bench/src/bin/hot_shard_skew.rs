@@ -22,10 +22,6 @@
 //! | `ICSAD_SKEW_HIDDEN` | `32` | LSTM stack widths (comma-separated) |
 //! | `ICSAD_SKEW_THRESHOLD` | `8` | split threshold for the split runs |
 //! | `ICSAD_SKEW_WORKERS` | `1,2,4` | worker counts to sweep |
-//!
-//! Leave the engine-level `ICSAD_SPLIT_THRESHOLD` override unset: it
-//! applies to every engine in the process and would collapse the atomic
-//! and split runs onto the same plan.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,12 +1,11 @@
 //! Idle-stream soak probe: how many mostly idle streams one engine can
 //! host on a fixed thread budget, and what that costs the live traffic.
 //!
-//! Spawns an engine in async ingest mode, registers `ICSAD_SOAK_STREAMS`
-//! streams (two heartbeat frames each — ROADMAP's "thousands of idle
-//! streams" scenario), runs `ICSAD_SOAK_ACTIVE` live PLCs through it, and
-//! reports thread footprint, throughput, and the runtime's scheduling
-//! counters. Run the threads-mode comparison with
-//! `ICSAD_INGEST_MODE=threads` to see the per-shard-thread cost instead.
+//! Spawns an engine on a host-sized work-stealing pool, registers
+//! `ICSAD_SOAK_STREAMS` streams (two heartbeat frames each — the
+//! "thousands of idle streams" scenario), runs `ICSAD_SOAK_ACTIVE` live
+//! PLCs through it, and reports thread footprint, throughput, and the
+//! runtime's scheduling counters.
 //!
 //! ```sh
 //! cargo run --release -p icsad-bench --bin idle_soak
@@ -26,7 +25,7 @@ use std::time::Instant;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-use icsad_engine::{Engine, EngineConfig, IngestMode, RawFrame};
+use icsad_engine::{Engine, EngineConfig, RawFrame};
 use icsad_simulator::{TrafficConfig, TrafficGenerator};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -73,7 +72,6 @@ fn main() {
             num_shards: shards,
             batch_size: 96,
             channel_capacity: 1024,
-            ingest: IngestMode::Async { workers: 0 },
             ..EngineConfig::default()
         },
     );

@@ -22,8 +22,8 @@
 //! `ICSAD_STORM_FLOOD` (exception frames, default `20000`),
 //! `ICSAD_STORM_GARBAGE` (garbage frames, default `20000`),
 //! `ICSAD_STORM_ROUNDS` × `ICSAD_STORM_LINKS` (churn, default `8`×`8`),
-//! `ICSAD_HIDDEN` (default `32`), plus the engine's `ICSAD_INGEST_MODE`
-//! / `ICSAD_INGEST_WORKERS` overrides.
+//! `ICSAD_HIDDEN` (default `32`). The engine runs on its default
+//! host-sized work-stealing pool.
 
 use std::sync::Arc;
 use std::time::Instant;

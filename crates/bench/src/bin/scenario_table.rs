@@ -22,8 +22,8 @@
 //!
 //! Environment: `ICSAD_SCENARIO_EPISODES` (default `6`),
 //! `ICSAD_SCENARIO_QUIET` (default `12` cycles), `ICSAD_SCENARIO_STRIKE`
-//! (default `4` cycles), `ICSAD_HIDDEN` (default `32`), plus the engine's
-//! `ICSAD_INGEST_MODE` / `ICSAD_INGEST_WORKERS` overrides.
+//! (default `4` cycles), `ICSAD_HIDDEN` (default `32`). The engine runs on
+//! its default host-sized work-stealing pool.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -19,8 +19,8 @@
 //!
 //! Environment: `ICSAD_WIRE_PLCS` (default `8`), `ICSAD_WIRE_PER_PLC`
 //! (default `2000`), `ICSAD_HIDDEN` (default `64`), `ICSAD_WIRE_REPEATS`
-//! (default `3`), plus the engine's `ICSAD_INGEST_MODE` /
-//! `ICSAD_INGEST_WORKERS` overrides.
+//! (default `3`). The engine runs on its default host-sized work-stealing
+//! pool.
 
 use std::sync::Arc;
 use std::time::Instant;

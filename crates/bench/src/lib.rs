@@ -1,9 +1,11 @@
 //! Shared scaffolding for the experiment binaries that regenerate every
-//! table and figure of the paper (see DESIGN.md §4 for the index).
+//! table and figure of the paper (one binary per table or figure, named
+//! after it: `table4_comparison`, `fig6_topk_error`, …). The speed
+//! benchmark is separate: `BENCHMARK.json` and `perfbench/`, with its
+//! recorded findings in `CHANGES.md`.
 //!
 //! Every binary reads its scale from environment variables so the same code
-//! serves quick sanity runs and the full reproduction recorded in
-//! EXPERIMENTS.md:
+//! serves quick sanity runs and the full paper-scale reproduction:
 //!
 //! | variable | default | meaning |
 //! |---|---|---|

@@ -572,7 +572,8 @@ mod tests {
     #[test]
     fn evaluation_is_plausible() {
         // At this capture size signature coverage is far from converged
-        // (see EXPERIMENTS.md for paper-scale numbers); assert the sane
+        // (the `table4_comparison` / `table5_per_attack` binaries in
+        // `crates/bench` report paper-scale numbers); assert the sane
         // lower bounds measured for this configuration.
         let (det, split) = build(14_000, 4, 8);
         let report = det.evaluate(split.test());

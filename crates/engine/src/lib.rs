@@ -18,8 +18,8 @@
 //!                  │   ▼            ▼                               │
 //!                  │ bounded ch   bounded ch      (backpressure)    │
 //!                  │   │            │                               │
-//!                  │ shard 0      shard 1   … (one thread each, or  │
-//!                  │                        a work-stealing pool)   │
+//!                  │ shard 0      shard 1   … (tasks on one         │
+//!                  │                        work-stealing pool)     │
 //!                  │  per-stream lanes → StreamingSession flushes   │
 //!                  │  StreamExtractor → classify_batch → report     │
 //!                  └───────────────┬────────────────────────────────┘
@@ -54,17 +54,16 @@
 //!
 //! # Ingest runtimes
 //!
-//! *How* shards are driven is a second, equally semantic-free knob
-//! ([`EngineConfig::ingest`]): [`IngestMode::Threads`] dedicates one OS
-//! thread per shard (lowest latency, but idle shards cost threads), while
-//! [`IngestMode::Async`] multiplexes every shard onto a fixed
-//! work-stealing worker pool from [`icsad_runtime`] — one engine can then
-//! host thousands of mostly idle streams on `available_parallelism`
-//! threads, and a hot shard's batched flush migrates to whichever worker
-//! is free. Both drivers run the same shard core, so decisions are
-//! bit-identical across modes and schedules — pinned by seeded
-//! deterministic-interleaving property tests
-//! ([`IngestMode::AsyncDeterministic`]).
+//! Every shard is a cooperative task on one work-stealing worker pool from
+//! [`icsad_runtime`]: one engine can host thousands of mostly idle
+//! streams on `available_parallelism` threads, a hot shard's batched flush
+//! migrates to whichever worker is free, and a wide round can fork across
+//! the pool ([`EngineConfig::split_threshold`]). *How* the pool is sized
+//! or scheduled ([`EngineConfig::ingest`]) is a semantic-free knob:
+//! decisions are bit-identical across pool sizes and schedules — pinned by
+//! seeded deterministic-interleaving property tests
+//! ([`IngestMode::AsyncDeterministic`]). The engine reads no environment
+//! variable: the [`EngineConfig`] passed in is the configuration that runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +73,6 @@ mod shard;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
@@ -90,7 +88,7 @@ use icsad_simulator::{AttackType, Packet};
 pub use frame::{FrameBytes, FRAME_INLINE_CAP};
 pub use icsad_runtime::TestSchedule;
 
-use shard::{run_threaded, EngineUnit, RoundDriver, ShardCore, ShardMsg, ShardTask};
+use shard::{EngineUnit, ShardCore, ShardMsg, ShardTask};
 
 /// One raw frame on the monitored wire, before feature extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,28 +181,19 @@ pub enum EngineMode {
     AdaptiveK(DynamicKConfig),
 }
 
-/// How shard workers are scheduled (see [`EngineConfig::ingest`]).
+/// How the work-stealing pool that drives the shards is scheduled (see
+/// [`EngineConfig::ingest`]).
 ///
-/// Both modes drive the *same* shard core through the same per-shard FIFO
+/// Both modes poll the *same* shard tasks through the same per-shard FIFO
 /// of messages, so decisions are bit-identical across modes — the choice
-/// only trades threads for scheduling:
+/// only picks real threads or a seeded replay:
 ///
-/// | mode | OS threads | best for |
+/// | mode | OS threads | use |
 /// |---|---|---|
-/// | [`IngestMode::Threads`] | one per shard | few, uniformly busy shards |
-/// | [`IngestMode::Async`] | fixed pool (`available_parallelism` by default; explicit counts honored, capped at `num_shards`) | many shards, sparse/bursty traffic |
+/// | [`IngestMode::Async`] (default) | fixed pool (`min(available_parallelism, num_shards)` for `workers: 0`; explicit counts honored) | every deployment |
 /// | [`IngestMode::AsyncDeterministic`] | one | seed-replayable schedules (tests) |
-///
-/// The environment can override the configured mode at
-/// [`Engine::start_backend`] time — `ICSAD_INGEST_MODE=threads|async` plus
-/// `ICSAD_INGEST_WORKERS=n` — so a CI leg can run any suite on either
-/// runtime. [`IngestMode::AsyncDeterministic`] configs are exempt (a seeded
-/// schedule would be meaningless on another runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
-    /// One dedicated OS thread per shard, blocking on its channel.
-    #[default]
-    Threads,
     /// Cooperative shard tasks on a fixed work-stealing worker pool
     /// ([`icsad_runtime`]): idle shards cost no thread, and a hot shard's
     /// flush migrates to an idle worker.
@@ -219,6 +208,13 @@ pub enum IngestMode {
     /// The async runtime on one thread, replaying worker/steal/budget
     /// choices from a seed — the deterministic-interleaving test harness.
     AsyncDeterministic(TestSchedule),
+}
+
+impl Default for IngestMode {
+    /// A host-sized pool: `min(available_parallelism, num_shards)` threads.
+    fn default() -> Self {
+        IngestMode::Async { workers: 0 }
+    }
 }
 
 /// Why an [`EngineConfig`] was rejected by [`EngineConfig::validate`].
@@ -287,9 +283,8 @@ impl std::error::Error for EngineConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Worker shards. Streams are pinned to shards by their `(link, unit
-    /// id)` stream key. Under [`IngestMode::Threads`] each shard is an OS
-    /// thread; under [`IngestMode::Async`] shards are tasks and threads are
-    /// the (smaller) worker pool.
+    /// id)` stream key. Shards are tasks on the worker pool, so an idle
+    /// shard costs no thread.
     pub num_shards: usize,
     /// Backlog (queued packages across a shard's streams) that triggers a
     /// classification round. Larger backlogs let a round cover more
@@ -312,22 +307,18 @@ pub struct EngineConfig {
     /// [`Engine::start_backend`], whose backend already fixes its own
     /// decision rule.
     pub mode: EngineMode,
-    /// How shard workers are scheduled; purely a throughput/footprint
-    /// knob, never a decision change.
+    /// How the shard pool is sized and scheduled; purely a
+    /// throughput/footprint knob, never a decision change.
     pub ingest: IngestMode,
     /// Round width (pending lanes in one classification round) above
-    /// which an async shard *splits* the round: the lanes are partitioned
-    /// into disjoint sub-batches classified concurrently across the
+    /// which a shard *splits* the round: the lanes are partitioned into
+    /// disjoint sub-batches classified concurrently across the
     /// work-stealing pool (fork-join), so one hot shard's wide round can
     /// occupy otherwise-idle workers. At most one partition per pool
-    /// worker and no partition narrower than this threshold. `usize::MAX`
-    /// keeps every round atomic; the `ICSAD_SPLIT_THRESHOLD` environment
-    /// variable overrides the configured value (a positive integer, or
-    /// `off`/`max` for `usize::MAX`). Ignored under [`IngestMode::Threads`]
-    /// (one dedicated thread per shard — nobody to share a round with).
-    /// Like `ingest`, purely a throughput knob: decisions are
-    /// bit-identical at any threshold (see `ARCHITECTURE.md`, "Parallel
-    /// rounds").
+    /// worker and no partition narrower than this threshold; a one-worker
+    /// pool never splits. `usize::MAX` keeps every round atomic. Like
+    /// `ingest`, purely a throughput knob: decisions are bit-identical at
+    /// any threshold (see `ARCHITECTURE.md`, "Parallel rounds").
     pub split_threshold: usize,
     /// Idle-lane eviction bound, in per-shard routed frames. When set to
     /// `Some(n)`, each shard sweeps its resident lanes every `n` of its
@@ -362,7 +353,7 @@ impl Default for EngineConfig {
             channel_capacity: 1024,
             crc_window: DEFAULT_CRC_WINDOW,
             mode: EngineMode::FixedK,
-            ingest: IngestMode::Threads,
+            ingest: IngestMode::default(),
             // Wide enough that narrow rounds never pay fork overhead, low
             // enough that a genuinely hot shard (hundreds of active lanes)
             // spreads across the pool.
@@ -484,8 +475,7 @@ pub struct ShardReport {
     /// the backlog fully drained through the outgoing detector first.
     pub swap_rounds: Vec<u64>,
     /// Flushes this shard forked into parallel sub-batches across the
-    /// pool ([`EngineConfig::split_threshold`]); always 0 under
-    /// [`IngestMode::Threads`].
+    /// pool ([`EngineConfig::split_threshold`]).
     pub split_rounds: u64,
     /// Widest classification round (pending lanes in one flush) this
     /// shard executed — the skew signal: a hot shard's widest round
@@ -499,26 +489,24 @@ pub struct ShardReport {
 /// shards, on how many threads, and how hard the flow control worked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// The resolved ingest mode: `"threads"`, `"async"` or
-    /// `"async-deterministic"` (after any `ICSAD_INGEST_MODE` override).
+    /// The configured ingest mode: `"async"` ([`IngestMode::Async`]) or
+    /// `"async-deterministic"` ([`IngestMode::AsyncDeterministic`]).
     pub mode: &'static str,
     /// OS threads the engine spawned to drive shards (excludes the caller's
-    /// ingest thread): `num_shards` under [`IngestMode::Threads`], the pool
-    /// size under [`IngestMode::Async`], 1 under
+    /// ingest thread): the pool size under [`IngestMode::Async`], 1 under
     /// [`IngestMode::AsyncDeterministic`].
     pub ingest_threads: usize,
     /// Times [`Engine::ingest`]/[`Engine::flush_ingest`] found a shard's
     /// channel full and had to wait — the backpressure counter. Zero means
     /// the shards always kept ahead of the tap.
     pub blocked_pushes: u64,
-    /// Shard tasks taken from another worker's run queue (async modes
-    /// only): how often a hot shard's work migrated to an idle worker.
+    /// Shard tasks taken from another worker's run queue: how often a hot
+    /// shard's work migrated to an idle worker.
     pub steals: u64,
-    /// Task polls executed (async modes only).
+    /// Task polls executed.
     pub polls: u64,
     /// Classification rounds forked into parallel sub-units on the shared
-    /// round board (async modes only; sum of
-    /// [`ShardReport::split_rounds`]).
+    /// round board (sum of [`ShardReport::split_rounds`]).
     pub split_rounds: u64,
     /// Sub-units those rounds were split into.
     pub round_units: u64,
@@ -579,23 +567,15 @@ impl EngineReport {
     }
 }
 
-/// The running ingest machinery behind an [`Engine`]: either dedicated
-/// per-shard threads or the shared work-stealing pool. Every variant
-/// presents the same per-shard FIFO contract, which is what keeps the two
-/// runtimes decision-identical.
-enum IngestDriver {
-    Threads {
-        queues: Vec<Arc<IngestQueue<ShardMsg>>>,
-        workers: Vec<JoinHandle<ShardReport>>,
-    },
-    Async {
-        queues: Vec<Arc<IngestQueue<ShardMsg>>>,
-        executor: Executor<ShardTask>,
-        /// The pool-shared fork-join board wide rounds split onto; kept
-        /// here so `finish` can report its counters.
-        board: Arc<RoundBoard<EngineUnit>>,
-        mode: &'static str,
-    },
+/// The running ingest machinery behind an [`Engine`]: one inbox per shard
+/// and the work-stealing pool that polls the shard tasks.
+struct IngestDriver {
+    queues: Vec<Arc<IngestQueue<ShardMsg>>>,
+    executor: Executor<ShardTask>,
+    /// The pool-shared fork-join board wide rounds split onto; kept here
+    /// so `finish` can report its counters.
+    board: Arc<RoundBoard<EngineUnit>>,
+    mode: &'static str,
 }
 
 /// A shard's worker terminated (panicked) before the message could be
@@ -603,83 +583,36 @@ enum IngestDriver {
 struct ShardGone;
 
 impl IngestDriver {
-    fn mode(&self) -> &'static str {
-        match self {
-            IngestDriver::Threads { .. } => "threads",
-            IngestDriver::Async { mode, .. } => mode,
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            IngestDriver::Threads { queues, .. } | IngestDriver::Async { queues, .. } => {
-                queues.len()
-            }
-        }
-    }
-
-    fn ingest_threads(&self) -> usize {
-        match self {
-            IngestDriver::Threads { workers, .. } => workers.len(),
-            IngestDriver::Async { executor, .. } => executor.threads(),
-        }
-    }
-
     /// Delivers one message to a shard's FIFO, blocking under backpressure
     /// (counted on `blocked`).
     fn send(&self, shard: usize, msg: ShardMsg, blocked: &AtomicU64) -> Result<(), ShardGone> {
-        let (queues, executor) = match self {
-            IngestDriver::Threads { queues, .. } => (queues, None),
-            IngestDriver::Async {
-                queues, executor, ..
-            } => (queues, Some(executor)),
-        };
-        let pushed = match queues[shard].try_push(msg) {
-            Ok(()) => Ok(()),
+        let queue = &self.queues[shard];
+        match queue.try_push(msg) {
+            Ok(()) => {}
             Err(TryPushError::Full(msg)) => {
                 // ORDERING: Relaxed — monotonic reporting counter, read
                 // only after the run is over; it orders nothing.
                 blocked.fetch_add(1, Ordering::Relaxed);
-                queues[shard].push(msg).map_err(|_| ShardGone)
+                queue.push(msg).map_err(|_| ShardGone)?;
             }
-            Err(TryPushError::Closed(_)) => Err(ShardGone),
-        };
-        if pushed.is_ok() {
-            if let Some(executor) = executor {
-                executor.notify(shard);
-            }
+            Err(TryPushError::Closed(_)) => return Err(ShardGone),
         }
-        pushed
+        self.executor.notify(shard);
+        Ok(())
     }
 
     /// Closes ingest and joins every worker, **even when some panicked**:
-    /// all handles are joined before any result is inspected, so one
+    /// all tasks are joined before any result is inspected, so one
     /// panicking shard can no longer leak the surviving workers. Panics are
-    /// returned as `Err` payloads in shard order, plus the async scheduler
+    /// returned as `Err` payloads in shard order, plus the scheduler
     /// counters.
     fn into_results(self) -> (Vec<std::thread::Result<ShardReport>>, u64, u64, RoundStats) {
-        match self {
-            IngestDriver::Threads { queues, workers } => {
-                for queue in &queues {
-                    queue.close();
-                }
-                let results = workers.into_iter().map(|w| w.join()).collect();
-                (results, 0, 0, RoundStats::default())
-            }
-            IngestDriver::Async {
-                queues,
-                executor,
-                board,
-                ..
-            } => {
-                for (shard, queue) in queues.iter().enumerate() {
-                    queue.close();
-                    executor.notify(shard);
-                }
-                let (results, stats) = executor.join();
-                (results, stats.steals, stats.polls, board.stats())
-            }
+        for (shard, queue) in self.queues.iter().enumerate() {
+            queue.close();
+            self.executor.notify(shard);
         }
+        let (results, stats) = self.executor.join();
+        (results, stats.steals, stats.polls, self.board.stats())
     }
 }
 
@@ -720,83 +653,6 @@ pub struct Engine {
 
 /// Frames per channel message (amortizes the per-send synchronization).
 const INGEST_CHUNK: usize = 64;
-
-/// Resolves the effective ingest mode: the `ICSAD_INGEST_MODE` /
-/// `ICSAD_INGEST_WORKERS` environment overrides win over the configured
-/// mode (mirroring `ICSAD_KERNEL_BACKEND`), so a CI leg can run any suite
-/// on either runtime. Deterministic schedules are exempt — a seeded
-/// interleaving test means nothing on a different runtime.
-fn resolve_ingest_mode(configured: IngestMode) -> IngestMode {
-    if matches!(configured, IngestMode::AsyncDeterministic(_)) {
-        return configured;
-    }
-    let workers = match std::env::var("ICSAD_INGEST_WORKERS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("icsad-engine: ignoring unrecognized ICSAD_INGEST_WORKERS={raw:?}");
-                None
-            }
-        },
-        Err(_) => None,
-    };
-    // Without an explicit ICSAD_INGEST_WORKERS, an `async` override keeps a
-    // configured Async pool size (the env var then only confirms the mode);
-    // anything else defaults to host-sized.
-    let configured_workers = match configured {
-        IngestMode::Async { workers } => workers,
-        _ => 0,
-    };
-    match std::env::var("ICSAD_INGEST_MODE") {
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "threads" => IngestMode::Threads,
-            "async" => IngestMode::Async {
-                workers: workers.unwrap_or(configured_workers),
-            },
-            _ => {
-                eprintln!(
-                    "icsad-engine: ignoring unrecognized ICSAD_INGEST_MODE={raw:?} \
-                     (expected \"threads\" or \"async\")"
-                );
-                configured
-            }
-        },
-        Err(_) => match (configured, workers) {
-            // ICSAD_INGEST_WORKERS alone re-sizes an already-async config.
-            (IngestMode::Async { .. }, Some(workers)) => IngestMode::Async { workers },
-            _ => configured,
-        },
-    }
-}
-
-/// Resolves the effective round-split threshold: the
-/// `ICSAD_SPLIT_THRESHOLD` environment override (a positive integer, or
-/// `off`/`max`/`inf` for `usize::MAX`) wins over the configured value, so
-/// a CI leg can run any suite with forced or disabled round splitting.
-/// Safe to apply in every mode — the threshold is a pure throughput knob
-/// and never changes decisions, so even seeded deterministic tests stay
-/// valid under an override.
-fn resolve_split_threshold(configured: usize) -> usize {
-    match std::env::var("ICSAD_SPLIT_THRESHOLD") {
-        Ok(raw) => {
-            let trimmed = raw.trim();
-            match trimmed.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => match trimmed.to_ascii_lowercase().as_str() {
-                    "off" | "max" | "inf" => usize::MAX,
-                    _ => {
-                        eprintln!(
-                            "icsad-engine: ignoring unrecognized ICSAD_SPLIT_THRESHOLD={raw:?} \
-                             (expected a positive integer or \"off\")"
-                        );
-                        configured
-                    }
-                },
-            }
-        }
-        Err(_) => configured,
-    }
-}
 
 impl Engine {
     /// Spawns the shard workers around the combined framework and returns
@@ -854,8 +710,6 @@ impl Engine {
         config: EngineConfig,
     ) -> Result<Engine, EngineConfigError> {
         config.validate()?;
-        let mut config = config;
-        config.split_threshold = resolve_split_threshold(config.split_threshold);
 
         // Resolve the SIMD kernel dispatch once, before any shard spawns:
         // every worker inherits the same backend, and the report can name
@@ -872,107 +726,62 @@ impl Engine {
         let recycle: Arc<RecycleRing<Vec<RawFrame>>> =
             Arc::new(RecycleRing::bounded(num_shards * (chunk_capacity + 2)));
         let processed = Arc::new(AtomicU64::new(0));
-        let driver = match resolve_ingest_mode(config.ingest) {
-            IngestMode::Threads => {
-                let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
-                    .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
-                    .collect();
-                let mut workers = Vec::with_capacity(num_shards);
-                for (shard, queue) in queues.iter().enumerate() {
-                    let inbox = Arc::clone(queue);
-                    let backend = Arc::clone(&backend);
-                    let config = config.clone();
-                    let recycle = Arc::clone(&recycle);
-                    let processed = Arc::clone(&processed);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("icsad-shard-{shard}"))
-                        .spawn(move || {
-                            let session = backend.begin_session();
-                            run_threaded(
-                                ShardCore::new(
-                                    session,
-                                    config,
-                                    RoundDriver::Inline,
-                                    recycle,
-                                    processed,
-                                ),
-                                shard,
-                                inbox,
-                            )
-                        })
-                        // PANIC: thread spawn fails only on OS resource
-                        // exhaustion at startup; there is no engine to keep
-                        // alive yet.
-                        .expect("failed to spawn shard worker");
-                    workers.push(handle);
+        let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
+            .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
+            .collect();
+        // Rounds can fan out to at most the whole pool. The deterministic
+        // scheduler forks with its virtual worker count — the parent then
+        // runs every sub-unit inline, so seeded replays exercise the exact
+        // split plan a real pool of that size would execute.
+        let (schedule, fan_out, mode) = match config.ingest {
+            IngestMode::Async { workers } => {
+                // A fixed pool: `available_parallelism` (capped at the
+                // shard count) by default. An explicit count is honored as
+                // given — a pool *larger* than the shard count still pays
+                // off, because extra workers claim sub-units of split
+                // rounds.
+                let workers = if workers == 0 {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                        .min(num_shards)
+                } else {
+                    workers
                 }
-                IngestDriver::Threads { queues, workers }
+                .max(1);
+                (Schedule::Pool { workers }, workers, "async")
             }
-            async_mode => {
-                let queues: Vec<Arc<IngestQueue<ShardMsg>>> = (0..num_shards)
-                    .map(|_| Arc::new(IngestQueue::bounded(chunk_capacity)))
-                    .collect();
-                let (schedule, mode) = match async_mode {
-                    IngestMode::Async { workers } => {
-                        // A fixed pool: `available_parallelism` (capped at
-                        // the shard count) by default. An explicit count is
-                        // honored as given — a pool *larger* than the shard
-                        // count is no longer pointless, because extra
-                        // workers claim sub-units of split rounds.
-                        let workers = if workers == 0 {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1)
-                                .min(num_shards)
-                        } else {
-                            workers
-                        }
-                        .max(1);
-                        (Schedule::Pool { workers }, "async")
-                    }
-                    IngestMode::AsyncDeterministic(schedule) => {
-                        (Schedule::Deterministic(schedule), "async-deterministic")
-                    }
-                    IngestMode::Threads => unreachable!("handled above"),
-                };
-                // Rounds can fan out to at most the whole pool. The
-                // deterministic scheduler forks with its virtual worker
-                // count — the parent then runs every sub-unit inline, so
-                // seeded replays exercise the exact split plan a real pool
-                // of that size would execute.
-                let fan_out = match &schedule {
-                    Schedule::Pool { workers } => *workers,
-                    Schedule::Deterministic(test) => test.workers,
-                };
-                let board = Arc::new(RoundBoard::new());
-                let tasks: Vec<ShardTask> = queues
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, queue)| {
-                        let session = Arc::clone(&backend).begin_session();
-                        ShardTask::new(
-                            ShardCore::new(
-                                session,
-                                config.clone(),
-                                RoundDriver::Board {
-                                    board: Arc::clone(&board),
-                                    fan_out,
-                                },
-                                Arc::clone(&recycle),
-                                Arc::clone(&processed),
-                            ),
-                            Arc::clone(queue),
-                            shard,
-                        )
-                    })
-                    .collect();
-                IngestDriver::Async {
-                    queues,
-                    executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
-                    board,
-                    mode,
-                }
-            }
+            IngestMode::AsyncDeterministic(test) => (
+                Schedule::Deterministic(test),
+                test.workers,
+                "async-deterministic",
+            ),
+        };
+        let board = Arc::new(RoundBoard::new());
+        let tasks: Vec<ShardTask> = queues
+            .iter()
+            .enumerate()
+            .map(|(shard, queue)| {
+                let session = Arc::clone(&backend).begin_session();
+                ShardTask::new(
+                    ShardCore::new(
+                        session,
+                        config.clone(),
+                        Arc::clone(&board),
+                        fan_out,
+                        Arc::clone(&recycle),
+                        Arc::clone(&processed),
+                    ),
+                    Arc::clone(queue),
+                    shard,
+                )
+            })
+            .collect();
+        let driver = IngestDriver {
+            queues,
+            executor: Executor::start_with_rounds(tasks, schedule, Arc::clone(&board)),
+            board,
+            mode,
         };
         Ok(Engine {
             backend,
@@ -1060,7 +869,7 @@ impl Engine {
         // PANIC: `driver` is `None` only after `finish()` consumed `self`,
         // so it is always present on a live engine.
         let driver = self.driver.as_ref().expect("engine finished");
-        for shard in 0..driver.num_shards() {
+        for shard in 0..driver.queues.len() {
             driver
                 .send(
                     shard,
@@ -1103,7 +912,7 @@ impl Engine {
         self.flush_ingest();
         // PANIC: `driver` is present on every live engine; see `ingest`.
         let driver = self.driver.as_ref().expect("engine finished");
-        for shard in 0..driver.num_shards() {
+        for shard in 0..driver.queues.len() {
             driver
                 .send(
                     shard,
@@ -1197,24 +1006,21 @@ impl Engine {
         self.buffers.len()
     }
 
-    /// OS threads the engine spawned to drive its shards: `num_shards`
-    /// under [`IngestMode::Threads`], the pool size under
-    /// [`IngestMode::Async`] (`available_parallelism` when `workers` is
-    /// `0`; an explicit count is honored as given, capped only at
-    /// `num_shards`), and 1 under [`IngestMode::AsyncDeterministic`]. The
-    /// idle-stream soak test pins the async engine's thread footprint
-    /// with this.
+    /// OS threads the engine spawned to drive its shards: the pool size
+    /// under [`IngestMode::Async`] (`min(available_parallelism,
+    /// num_shards)` when `workers` is `0`; an explicit count is honored as
+    /// given), and 1 under [`IngestMode::AsyncDeterministic`]. The
+    /// idle-stream soak test pins the engine's thread footprint with this.
     pub fn ingest_threads(&self) -> usize {
         self.driver
             .as_ref()
-            .map(|d| d.ingest_threads())
+            .map(|d| d.executor.threads())
             .unwrap_or(0)
     }
 
-    /// The resolved ingest mode: `"threads"`, `"async"` or
-    /// `"async-deterministic"` (after any `ICSAD_INGEST_MODE` override).
+    /// The configured ingest mode: `"async"` or `"async-deterministic"`.
     pub fn ingest_mode(&self) -> &'static str {
-        self.driver.as_ref().map(|d| d.mode()).unwrap_or("finished")
+        self.driver.as_ref().map(|d| d.mode).unwrap_or("finished")
     }
 
     /// The shard a single-link (link `0`) unit id is pinned to.
@@ -1406,8 +1212,8 @@ impl Engine {
         // PANIC: `finish` consumes `self`, so the driver can only have been
         // taken by a previous `finish` — unreachable.
         let driver = self.driver.take().expect("finish called once");
-        let mode = driver.mode();
-        let ingest_threads = driver.ingest_threads();
+        let mode = driver.mode;
+        let ingest_threads = driver.executor.threads();
         let (results, steals, polls, round_stats) = driver.into_results();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(results.len());
         let mut panic = None;
@@ -1430,7 +1236,7 @@ impl Engine {
         EngineReport {
             total,
             shards,
-            // ORDERING: Relaxed — counters read after every shard thread
+            // ORDERING: Relaxed — counters read after every pool worker
             // was joined by `into_results`; the joins order the memory.
             quarantined: self.quarantined.load(Ordering::Relaxed),
             reloads: self.reloads,

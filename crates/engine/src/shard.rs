@@ -1,18 +1,15 @@
-//! The shard loop, split into a runtime-agnostic core and two drivers.
+//! The shard loop: a scheduling-free core and the pool task that drives it.
 //!
 //! [`ShardCore`] owns everything a shard does between scheduling points:
 //! per-stream extraction and queueing, round-based batched classification
 //! through a [`StreamingSession`], label FIFOs pairing deferred decisions
 //! back with their packages, and the round-boundary hot-swap protocol. It
 //! never blocks and never touches a channel — *when* it runs is entirely
-//! the driver's business, which is what makes the two drivers
-//! decision-equivalent by construction:
-//!
-//! * [`run_threaded`] — the classic one-OS-thread-per-shard loop over a
-//!   blocking `std::sync::mpsc` receiver ([`IngestMode::Threads`]).
-//! * [`ShardTask`] — the same core as a cooperatively scheduled
-//!   [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled by the
-//!   work-stealing pool ([`IngestMode::Async`]).
+//! the business of [`ShardTask`], which wraps the core as a cooperatively
+//! scheduled [`icsad_runtime::Task`] over an [`IngestQueue`] inbox, polled
+//! by the work-stealing pool (real threads under
+//! [`IngestMode::Async`](crate::IngestMode::Async), a seeded replay under
+//! [`IngestMode::AsyncDeterministic`](crate::IngestMode::AsyncDeterministic)).
 //!
 //! Per-stream decisions depend only on the per-shard message order (frames
 //! and swaps arrive through one FIFO per shard) and on each lane's record
@@ -21,10 +18,9 @@
 //! behind the engine's schedule-invariance tests; `ARCHITECTURE.md` spells
 //! it out.
 //!
-//! **Split rounds extend, not weaken, that argument.** Under an async
-//! [`RoundDriver::Board`], a round wider than
+//! **Split rounds extend, not weaken, that argument.** A round wider than
 //! [`EngineConfig::split_threshold`] forks into disjoint lane partitions
-//! classified concurrently on the pool:
+//! classified concurrently on the pool's shared [`RoundBoard`]:
 //!
 //! * *No aliasing*: each partition owns the moved-out mutable state of its
 //!   lanes (LSTM cells, controller, batch scratch) and shares only the
@@ -69,22 +65,6 @@ impl RoundUnit for EngineUnit {
     fn run(&mut self) {
         self.0.run();
     }
-}
-
-/// How a shard executes its classification rounds.
-pub(crate) enum RoundDriver {
-    /// Every round runs atomically on the shard's own thread/task
-    /// ([`IngestMode::Threads`](crate::IngestMode::Threads), which has one
-    /// dedicated thread per shard and nobody to share a round with).
-    Inline,
-    /// Rounds wider than [`EngineConfig::split_threshold`] fork into
-    /// stealable sub-units on the pool's shared [`RoundBoard`] (async
-    /// modes). `fan_out` is the pool size — the most workers a round
-    /// could occupy, and so the most partitions worth forking.
-    Board {
-        board: Arc<RoundBoard<EngineUnit>>,
-        fan_out: usize,
-    },
 }
 
 /// Control-plane message to a shard: a chunk of routed frames, a
@@ -161,7 +141,13 @@ pub(crate) struct ShardCore {
     /// longer pay 10k queue checks per round). Invariant: `lane ∈
     /// active_lanes ⇔ !queues[lane].is_empty()`, no duplicates.
     active_lanes: Vec<usize>,
-    rounds: RoundDriver,
+    /// The pool's shared fork-join board: rounds wider than
+    /// [`EngineConfig::split_threshold`] fork into stealable sub-units
+    /// here.
+    board: Arc<RoundBoard<EngineUnit>>,
+    /// The pool size — the most workers a round could occupy, and so the
+    /// most partitions worth forking.
+    fan_out: usize,
     /// Chunk free-list shared with the engine: drained `Frames` chunk
     /// `Vec`s go back here for the ingest side to refill, closing the
     /// steady-state allocation loop.
@@ -186,7 +172,8 @@ impl ShardCore {
     pub(crate) fn new(
         session: Box<dyn StreamingSession>,
         config: EngineConfig,
-        rounds: RoundDriver,
+        board: Arc<RoundBoard<EngineUnit>>,
+        fan_out: usize,
         recycle: Arc<RecycleRing<Vec<RawFrame>>>,
         processed: Arc<AtomicU64>,
     ) -> Self {
@@ -194,7 +181,8 @@ impl ShardCore {
         ShardCore {
             session,
             config,
-            rounds,
+            board,
+            fan_out,
             recycle,
             processed,
             // NONDET: see the field — lookup-only map, never iterated.
@@ -416,26 +404,27 @@ impl ShardCore {
     fn classify_pending(&mut self) {
         let width = self.pending_lanes.len();
         self.widest_round = self.widest_round.max(width);
-        if let RoundDriver::Board { board, fan_out } = &self.rounds {
-            if width > self.config.split_threshold && *fan_out >= 2 {
-                // At most one partition per pool worker, and no partition
-                // narrower than the threshold (a sliver would pay fork
-                // overhead for a handful of lanes).
-                let parts = (*fan_out).min(width.div_ceil(self.config.split_threshold));
-                if parts >= 2 {
-                    if let Some(forked) = self.session.fork_round(
-                        &self.pending_lanes,
-                        &mut self.pending_records,
-                        parts,
-                    ) {
-                        let units = board.fork_join(forked.into_iter().map(EngineUnit).collect());
-                        self.session.join_round(
-                            units.into_iter().map(|u| u.0).collect(),
-                            &mut self.decisions,
-                        );
-                        self.split_rounds += 1;
-                        return;
-                    }
+        if width > self.config.split_threshold && self.fan_out >= 2 {
+            // At most one partition per pool worker, and no partition
+            // narrower than the threshold (a sliver would pay fork overhead
+            // for a handful of lanes).
+            let parts = self
+                .fan_out
+                .min(width.div_ceil(self.config.split_threshold));
+            if parts >= 2 {
+                if let Some(forked) =
+                    self.session
+                        .fork_round(&self.pending_lanes, &mut self.pending_records, parts)
+                {
+                    let units = self
+                        .board
+                        .fork_join(forked.into_iter().map(EngineUnit).collect());
+                    self.session.join_round(
+                        units.into_iter().map(|u| u.0).collect(),
+                        &mut self.decisions,
+                    );
+                    self.split_rounds += 1;
+                    return;
                 }
             }
         }
@@ -554,66 +543,8 @@ impl ShardCore {
     }
 }
 
-/// The [`IngestMode::Threads`](crate::IngestMode::Threads) driver: one
-/// dedicated OS thread blocking on its shard's [`IngestQueue`] inbox,
-/// draining buffered bursts in one lock acquisition apiece.
-pub(crate) fn run_threaded(
-    mut core: ShardCore,
-    shard: usize,
-    inbox: Arc<IngestQueue<ShardMsg>>,
-) -> ShardReport {
-    // If the core panics mid-round, producers blocked on a full inbox
-    // would wait forever: poison the queue on the way out so
-    // `Engine::ingest` fails fast with `ShardGone` instead. On the normal
-    // path `into_results` already closed the queue and this is a no-op.
-    struct CloseOnExit(Arc<IngestQueue<ShardMsg>>);
-    impl Drop for CloseOnExit {
-        fn drop(&mut self) {
-            self.0.close();
-        }
-    }
-    let _guard = CloseOnExit(Arc::clone(&inbox));
-    let mut msgs: Vec<ShardMsg> = Vec::new();
-    'ingest: loop {
-        // Soak whatever is already buffered so rounds see a backlog of
-        // streams, flushing whenever the backlog is deep enough.
-        loop {
-            match inbox.drain_into(&mut msgs, usize::MAX) {
-                Drain::Items(_) => {
-                    for msg in msgs.drain(..) {
-                        core.handle(msg);
-                    }
-                }
-                Drain::Empty => break,
-                Drain::Closed => break 'ingest,
-            }
-        }
-        // Queue momentarily empty: work through the backlog, then block
-        // for the next burst.
-        core.flush_round();
-        if !core.has_backlog() {
-            match inbox.drain_wait(&mut msgs, usize::MAX) {
-                Drain::Items(_) => {
-                    for msg in msgs.drain(..) {
-                        core.handle(msg);
-                    }
-                }
-                Drain::Closed => break 'ingest,
-                // PANIC: `drain_wait` blocks while the queue is empty and
-                // open; `Empty` is unreachable by its contract.
-                Drain::Empty => unreachable!("drain_wait never returns Empty"),
-            }
-        }
-    }
-    // Ingest closed: drain everything still queued, then let the backend
-    // resolve decisions it deferred (window tails).
-    core.end_of_stream();
-    core.into_report(shard)
-}
-
-/// The [`IngestMode::Async`](crate::IngestMode::Async) driver: the same
-/// [`ShardCore`] as a cooperatively scheduled task over an [`IngestQueue`]
-/// inbox, polled by the work-stealing pool.
+/// The shard driver: a [`ShardCore`] as a cooperatively scheduled task
+/// over an [`IngestQueue`] inbox, polled by the work-stealing pool.
 pub(crate) struct ShardTask {
     /// `Some` until [`Task::complete`] takes it (`Option` only because the
     /// `Drop` impl below forbids moving fields out of `self`).
@@ -651,10 +582,10 @@ impl Task for ShardTask {
                 Poll::Runnable
             }
             Drain::Empty => {
-                // Mirror the threaded loop's drain-on-quiet: when the
-                // inbox momentarily empties, work through the backlog
-                // one round at a time (yielding between rounds so a
-                // steal can migrate the drain) before going idle.
+                // Drain on quiet: when the inbox momentarily empties,
+                // work through the backlog one round at a time (yielding
+                // between rounds so a steal can migrate the drain) before
+                // going idle.
                 if core.has_backlog() {
                     core.flush_round();
                     if core.has_backlog() {

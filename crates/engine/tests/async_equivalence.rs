@@ -1,6 +1,6 @@
-//! Deterministic-interleaving equivalence: the async engine's decisions are
-//! bit-identical to the threaded engine's and to the per-record offline
-//! path, under *every* seeded worker/steal/budget schedule tested —
+//! Deterministic-interleaving equivalence: the engine's decisions are
+//! bit-identical to the per-record offline path, under *every* seeded
+//! worker/steal/budget schedule tested and on the real work-stealing pool —
 //! including mid-run `swap_artifact` at arbitrary ingest boundaries.
 //!
 //! The harness is [`IngestMode::AsyncDeterministic`]: one scheduler thread
@@ -172,8 +172,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
     /// The headline property: for any (schedule seed, shard count, batch
     /// size, worker count, steal granularity, swap boundary), the
-    /// deterministically scheduled async engine, the threaded engine, and
-    /// the per-record path all agree bit-for-bit.
+    /// deterministically scheduled engine and the per-record path agree
+    /// bit-for-bit.
     #[test]
     fn every_seeded_interleaving_is_decision_identical(
         seed in any::<u64>(),
@@ -197,12 +197,6 @@ proptest! {
             ..EngineConfig::default()
         };
 
-        let threaded = run_engine(fx, EngineConfig {
-            ingest: IngestMode::Threads,
-            ..base.clone()
-        }, swap_at);
-        check(&threaded, &reference, n, "threaded");
-
         let async_det = run_engine(fx, EngineConfig {
             ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, workers, max_budget }),
             ..base
@@ -211,19 +205,7 @@ proptest! {
         prop_assert_eq!(async_det.runtime.ingest_threads, 1);
         prop_assert!(async_det.runtime.polls > 0);
         check(&async_det, &reference, n, "async-deterministic");
-
-        // Async ≡ threaded shard-by-shard too (routing is mode-invariant):
-        // everything decision-derived matches; only flush/steal timing may
-        // differ.
-        prop_assert_eq!(threaded.shards.len(), async_det.shards.len());
-        for (t, a) in threaded.shards.iter().zip(async_det.shards.iter()) {
-            prop_assert_eq!(t.shard, a.shard);
-            prop_assert_eq!(t.frames, a.frames);
-            prop_assert_eq!(t.streams, a.streams);
-            prop_assert_eq!(t.alarms, a.alarms);
-            prop_assert_eq!(&t.report, &a.report);
-            prop_assert_eq!(t.reloads, a.reloads);
-        }
+        prop_assert_eq!(async_det.shards.len(), shards);
         if swap_at.is_some() {
             prop_assert_eq!(async_det.reloads, 1);
             for shard in &async_det.shards {
@@ -258,14 +240,8 @@ fn real_pool_schedules_are_decision_identical() {
                 n,
                 &format!("pool workers={workers} trial={trial}"),
             );
-            // `ICSAD_INGEST_WORKERS` (the CI matrix) legitimately resizes
-            // the pool; the bound against this test's own `workers` only
-            // holds when no override is in play. (An explicit worker count
-            // is honored as given — no longer capped at the shard count —
-            // since extra workers now help split rounds.)
-            if std::env::var("ICSAD_INGEST_WORKERS").is_err() {
-                assert!(report.runtime.ingest_threads <= workers);
-            }
+            assert_eq!(report.runtime.mode, "async");
+            assert!(report.runtime.ingest_threads <= workers);
             let swapped = run_engine(fx, config, Some(n / 2));
             check(
                 &swapped,
@@ -296,10 +272,6 @@ proptest! {
         let n = fx.capture.len();
         let swap_at = if swap_quarter == 4 { None } else { Some(swap_quarter * n / 4) };
         let reference = reference_at(fx, swap_at.unwrap_or(n));
-        // The CI matrix legitimately overrides the configured threshold;
-        // the counter expectations below only hold without an override
-        // (decision equality holds regardless — that is the point).
-        let no_override = std::env::var("ICSAD_SPLIT_THRESHOLD").is_err();
 
         for workers in [1usize, 2, 5] {
             for split_threshold in [1usize, 8, usize::MAX] {
@@ -324,16 +296,14 @@ proptest! {
                     report.runtime.round_units >= 2 * report.runtime.split_rounds,
                     "every split round has at least two sub-units ({})", &context
                 );
-                if no_override {
-                    if split_threshold == 1 && workers >= 2 {
-                        // Three interleaved streams with threshold 1: the
-                        // multi-lane rounds must have forked.
-                        prop_assert!(shard_splits > 0, "no round split ({})", &context);
-                    }
-                    if workers == 1 || split_threshold == usize::MAX {
-                        // Nothing to fan out to, or splitting disabled.
-                        prop_assert_eq!(shard_splits, 0u64, "unexpected split ({})", &context);
-                    }
+                if split_threshold == 1 && workers >= 2 {
+                    // Three interleaved streams with threshold 1: the
+                    // multi-lane rounds must have forked.
+                    prop_assert!(shard_splits > 0, "no round split ({})", &context);
+                }
+                if workers == 1 || split_threshold == usize::MAX {
+                    // Nothing to fan out to, or splitting disabled.
+                    prop_assert_eq!(shard_splits, 0u64, "unexpected split ({})", &context);
                 }
                 if swap_at.is_some() {
                     prop_assert_eq!(report.reloads, 1);
@@ -364,12 +334,10 @@ fn real_pool_split_rounds_are_decision_identical() {
         };
         let report = run_engine(fx, config.clone(), None);
         check(&report, &reference, n, &format!("pool split trial={trial}"));
-        if std::env::var("ICSAD_SPLIT_THRESHOLD").is_err() {
-            assert!(
-                report.runtime.split_rounds > 0,
-                "trial {trial}: wide rounds never split on the pool"
-            );
-        }
+        assert!(
+            report.runtime.split_rounds > 0,
+            "trial {trial}: wide rounds never split on the pool"
+        );
         let swapped = run_engine(fx, config, Some(n / 2));
         check(
             &swapped,
@@ -379,6 +347,21 @@ fn real_pool_split_rounds_are_decision_identical() {
         );
         assert_eq!(swapped.reloads, 1);
     }
+}
+
+/// The default configuration runs on the host-sized pool: `async` mode,
+/// never more pool threads than shards, and the per-record decisions.
+#[test]
+fn default_config_runs_on_the_host_sized_pool() {
+    let fx = fixture();
+    let n = fx.capture.len();
+    let config = EngineConfig::default();
+    let num_shards = config.num_shards;
+    let report = run_engine(fx, config, None);
+    check(&report, &reference_at(fx, n), n, "default config");
+    assert_eq!(report.runtime.mode, "async");
+    assert!(report.runtime.ingest_threads >= 1);
+    assert!(report.runtime.ingest_threads <= num_shards);
 }
 
 /// `classify_streams` (the offline lockstep-batched API) agrees with the

@@ -142,9 +142,11 @@ fn drive_to_panic(ingest: IngestMode) {
     );
 }
 
+/// One worker multiplexes all three shards, so the panicking task and its
+/// healthy siblings share the only pool thread.
 #[test]
-fn threaded_engine_survives_a_panicking_shard() {
-    drive_to_panic(IngestMode::Threads);
+fn single_worker_engine_survives_a_panicking_shard() {
+    drive_to_panic(IngestMode::Async { workers: 1 });
 }
 
 #[test]
@@ -167,7 +169,7 @@ fn deterministic_engine_survives_a_panicking_shard() {
 #[test]
 fn dropping_an_unfinished_engine_joins_all_workers() {
     for ingest in [
-        IngestMode::Threads,
+        IngestMode::Async { workers: 1 },
         IngestMode::Async { workers: 2 },
         IngestMode::AsyncDeterministic(TestSchedule {
             seed: 1,
@@ -214,7 +216,7 @@ fn surviving_shards_complete_their_work_before_the_panic_resurfaces() {
                 num_shards: 2,
                 batch_size: 4,
                 channel_capacity: 64,
-                ingest: IngestMode::Threads,
+                ingest: IngestMode::Async { workers: 2 },
                 ..EngineConfig::default()
             },
         );

@@ -1,5 +1,5 @@
 //! Topology-churn correctness: a PLC that leaves and rejoins classifies
-//! bit-identically to a cold start, across ingest modes and across a
+//! bit-identically to a cold start, across schedules and across a
 //! mid-churn detector hot-swap — and idle-lane eviction is invisible to
 //! decision totals when evicted streams stay gone.
 //!
@@ -17,7 +17,7 @@ use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode};
+use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode, TestSchedule};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
 fn train(seed: u64) -> Arc<CombinedDetector> {
@@ -82,8 +82,16 @@ fn cold_run(
     engine.finish()
 }
 
+/// A seeded two-worker schedule: replayable, and it forks rounds the way a
+/// real two-worker pool would.
+const SEEDED: IngestMode = IngestMode::AsyncDeterministic(TestSchedule {
+    seed: 17,
+    workers: 2,
+    max_budget: 3,
+});
+
 fn modes() -> [IngestMode; 2] {
-    [IngestMode::Threads, IngestMode::Async { workers: 2 }]
+    [SEEDED, IngestMode::Async { workers: 2 }]
 }
 
 #[test]
@@ -170,14 +178,14 @@ fn retire_stream_only_resets_the_named_unit() {
 
     // Reference: link 1 runs uninterrupted; link 0 runs as two cold halves.
     let (a1, a2) = a.split_at(a.len() / 2);
-    let ra1 = cold_run(detector_a(), IngestMode::Threads, a1);
-    let ra2 = cold_run(detector_a(), IngestMode::Threads, a2);
-    let rb = cold_run(detector_a(), IngestMode::Threads, &b);
+    let ra1 = cold_run(detector_a(), SEEDED, a1);
+    let ra2 = cold_run(detector_a(), SEEDED, a2);
+    let rb = cold_run(detector_a(), SEEDED, &b);
     let mut expected = ra1.total.clone();
     expected.merge(&ra2.total);
     expected.merge(&rb.total);
 
-    let mut engine = Engine::start(detector_a(), config(IngestMode::Threads));
+    let mut engine = Engine::start(detector_a(), config(IngestMode::Async { workers: 2 }));
     ingest(&mut engine, a1, 0);
     ingest(&mut engine, &b[..b.len() / 2], 1);
     // Retire exactly link 0's PLC stream (slave address 4).
@@ -285,17 +293,17 @@ fn scenario_event_streams_drive_the_engine_end_to_end() {
         engine.ingest_scenario(&events);
         engine.finish()
     };
-    let threaded = run(IngestMode::Threads);
+    let seeded = run(SEEDED);
     let pooled = run(IngestMode::Async { workers: 2 });
 
-    assert_eq!(threaded.total, pooled.total, "mode-invariant decisions");
-    assert_eq!(threaded.quarantined, garbage);
+    assert_eq!(seeded.total, pooled.total, "schedule-invariant decisions");
+    assert_eq!(seeded.quarantined, garbage);
     assert_eq!(pooled.quarantined, garbage);
     assert!(
-        threaded.retired_lanes() >= 1,
+        seeded.retired_lanes() >= 1,
         "the link-down must retire the storm link's junk lanes"
     );
     // Every well-formed frame was classified; quarantined ones never
     // entered the shard counters.
-    assert_eq!(threaded.frames(), events.len() as u64 - 1 - garbage);
+    assert_eq!(seeded.frames(), events.len() as u64 - 1 - garbage);
 }

@@ -2,10 +2,10 @@
 //! live, the rest idle — on no more than `available_parallelism` + 1
 //! threads, with the backpressure counters accounting for every stall.
 //!
-//! This is the scaling scenario the async runtime exists for: under
-//! [`IngestMode::Threads`] the same shard count would cost one OS thread
-//! per shard whether or not traffic arrives; under [`IngestMode::Async`]
-//! idle shards are idle *tasks*, costing a queue and a state byte.
+//! This is the scaling scenario the work-stealing pool exists for: a
+//! thread per shard would cost 64 OS threads whether or not traffic
+//! arrives; on the pool ([`IngestMode::Async`]) idle shards are idle
+//! *tasks*, costing a queue and a state byte.
 
 use std::sync::{Arc, OnceLock};
 
@@ -66,9 +66,8 @@ fn ten_thousand_streams_fit_on_a_fixed_worker_pool() {
     let mut engine = Engine::start(
         detector,
         EngineConfig {
-            // Far more shards than any sane thread count: under the async
-            // runtime, shards are tasks, and the pool stays at
-            // available_parallelism.
+            // Far more shards than any sane thread count: shards are
+            // tasks, and the pool stays at available_parallelism.
             num_shards: 64,
             batch_size: 64,
             channel_capacity: 512,
@@ -76,14 +75,7 @@ fn ten_thousand_streams_fit_on_a_fixed_worker_pool() {
             ..EngineConfig::default()
         },
     );
-    // An environment override (e.g. a CI leg forcing `threads`) may
-    // legitimately re-route the engine off the async runtime; the
-    // thread-count bound only makes sense for the runtime this test pins,
-    // so skip rather than fail. Checking the *resolved* mode is robust to
-    // however the resolver normalizes the env value.
-    if engine.ingest_mode() != "async" {
-        return;
-    }
+    assert_eq!(engine.ingest_mode(), "async");
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -230,13 +222,14 @@ fn backpressure_run(ingest: IngestMode) -> u64 {
 
 /// Saturation behavior (documented on `EngineConfig::channel_capacity`):
 /// a full channel blocks ingest rather than dropping frames, and every
-/// stall lands on `RuntimeStats::blocked_pushes` — in both runtimes.
+/// stall lands on `RuntimeStats::blocked_pushes` — on the real pool and
+/// under a seeded schedule.
 #[test]
 fn backpressure_is_counted_on_the_report() {
-    let blocked_threads = backpressure_run(IngestMode::Threads);
+    let blocked_pool = backpressure_run(IngestMode::Async { workers: 2 });
     assert!(
-        blocked_threads > 0,
-        "threads mode: expected blocked pushes against a slow shard"
+        blocked_pool > 0,
+        "pool: expected blocked pushes against a slow shard"
     );
     let blocked_async = backpressure_run(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 5,
@@ -245,7 +238,7 @@ fn backpressure_is_counted_on_the_report() {
     }));
     assert!(
         blocked_async > 0,
-        "async mode: expected blocked pushes against a slow shard"
+        "seeded schedule: expected blocked pushes against a slow shard"
     );
 }
 
@@ -290,8 +283,9 @@ fn seeded_schedules_record_steals() {
     );
 }
 
-/// The same idle-heavy workload gives identical decisions on both
-/// runtimes (frame/stream conservation at soak scale, cheap model).
+/// The same idle-heavy workload gives identical decisions on the real pool
+/// and under a seeded schedule (frame/stream conservation at soak scale,
+/// cheap model).
 #[test]
 fn soak_decisions_match_across_runtimes() {
     let detector = tiny_detector();
@@ -319,20 +313,18 @@ fn soak_decisions_match_across_runtimes() {
         engine.ingest_packets(&generator.generate(800));
         engine.finish()
     };
-    let threaded = run(IngestMode::Threads);
     let pooled = run(IngestMode::Async { workers: 0 });
     let seeded = run(IngestMode::AsyncDeterministic(TestSchedule {
         seed: 3,
         workers: 2,
         max_budget: 3,
     }));
-    assert_eq!(threaded.total, pooled.total);
-    assert_eq!(threaded.total, seeded.total);
-    assert_eq!(threaded.frames(), pooled.frames());
+    assert_eq!(pooled.total, seeded.total);
+    assert_eq!(pooled.frames(), seeded.frames());
     let streams =
         |r: &icsad_engine::EngineReport| r.shards.iter().map(|s| s.streams).sum::<usize>();
-    assert_eq!(streams(&threaded), 501);
     assert_eq!(streams(&pooled), 501);
+    assert_eq!(streams(&seeded), 501);
 }
 
 /// The ISSUE's headline leak: per-connection first-seen link ids plus

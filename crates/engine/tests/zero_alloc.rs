@@ -1,8 +1,8 @@
 //! Proof of line-rate zero-allocation ingest: a counting global allocator
 //! brackets a steady-state ingest window and asserts the **whole pipeline**
 //! — routing, chunking, queue hand-off, extraction, classification,
-//! decision pairing — performs *zero* heap allocations per frame, in both
-//! the threaded and the async ingest modes.
+//! decision pairing — performs *zero* heap allocations per frame, on a
+//! one-worker and a two-worker pool.
 //!
 //! The warm-up phase is allowed to allocate freely: lanes are created,
 //! queues and scratch buffers grow to their steady-state capacity, the
@@ -182,17 +182,14 @@ fn steady_state_ingest_allocates_nothing() {
         .collect();
     assert!(garbage.iter().all(|f| !f.is_well_formed()));
 
-    // Both modes run inside one #[test] so no concurrent test pollutes
-    // the process-wide allocation counter.
-    let threaded = measured_alloc_events(IngestMode::Threads, &packets, &garbage);
-    assert_eq!(
-        threaded, 0,
-        "threaded steady-state ingest allocated {threaded} times"
-    );
-
-    let async_events = measured_alloc_events(IngestMode::Async { workers: 2 }, &packets, &garbage);
-    assert_eq!(
-        async_events, 0,
-        "async steady-state ingest allocated {async_events} times"
-    );
+    // Both pool sizes run inside one #[test] so no concurrent test
+    // pollutes the process-wide allocation counter. One worker multiplexes
+    // both shards; two give each shard its own thread.
+    for workers in [1, 2] {
+        let events = measured_alloc_events(IngestMode::Async { workers }, &packets, &garbage);
+        assert_eq!(
+            events, 0,
+            "steady-state ingest on {workers} worker(s) allocated {events} times"
+        );
+    }
 }

@@ -203,9 +203,10 @@ impl<T: Task> Shared<T> {
         queues: usize,
         rounds: Option<Arc<dyn UnitSource>>,
     ) -> Shared<T> {
+        let num_tasks = tasks.len();
         Shared {
             rounds,
-            remaining: AtomicUsize::new(tasks.len()),
+            remaining: AtomicUsize::new(num_tasks),
             slots: tasks
                 .into_iter()
                 .map(|task| Slot {
@@ -214,7 +215,13 @@ impl<T: Task> Shared<T> {
                     output: Mutex::new(None),
                 })
                 .collect(),
-            run_queues: (0..queues).map(|_| Mutex::new(VecDeque::new())).collect(),
+            // A task sits in at most one run queue at a time (only the
+            // IDLE→QUEUED / DIRTY→QUEUED winner enqueues it), so a queue
+            // sized for every task never grows: a steal that re-queues
+            // onto a worker's so-far-unused queue allocates nothing.
+            run_queues: (0..queues)
+                .map(|_| Mutex::new(VecDeque::with_capacity(num_tasks)))
+                .collect(),
             sync: Mutex::new(SyncState {
                 epoch: 0,
                 sleepers: 0,

@@ -5,9 +5,6 @@
 //! push is counted — while consumers ([`IngestQueue::pop`] /
 //! [`IngestQueue::drain_into`]) never block: the executor parks a worker
 //! instead of parking inside a queue, so one worker can serve many queues.
-//! The thread-per-shard driver instead parks *inside* the queue via
-//! [`IngestQueue::drain_wait`], which blocks the single consumer until items
-//! or close arrive.
 //!
 //! The ring is *mutex-sharded* rather than lock-free: each queue carries its
 //! own mutex, so contention is per shard, and the critical sections are a
@@ -22,10 +19,9 @@
 //!
 //! Condvar notifications are edge-triggered, not level-triggered: consumers
 //! notify `not_full` only when a removal crosses the full→not-full edge
-//! *and* a producer is actually recorded as waiting, and producers notify
-//! `not_empty` only when an insertion crosses the empty→non-empty edge with
-//! a consumer waiting. Waiter counts live under the same mutex as the ring,
-//! so the "is anyone waiting" check is exact, not a racy heuristic. A
+//! *and* a producer is actually recorded as waiting. The waiter count lives
+//! under the same mutex as the ring, so the "is anyone waiting" check is
+//! exact, not a racy heuristic. A
 //! single-item pop frees one slot and wakes at most one producer; that
 //! producer, after taking its slot, re-notifies if room remains and other
 //! producers still wait (a cascade), so a batch drain that frees many slots
@@ -60,7 +56,7 @@ pub enum Pop<T> {
     Closed,
 }
 
-/// One [`IngestQueue::drain_into`] / [`IngestQueue::drain_wait`] outcome.
+/// One [`IngestQueue::drain_into`] outcome.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Drain {
     /// This many items (≥ 1) were appended to the caller's buffer.
@@ -78,17 +74,13 @@ struct State<T> {
     /// notify and re-acquiring the mutex). Exact because it is only
     /// touched under the mutex.
     waiting_producers: usize,
-    /// Consumers currently parked in `not_empty.wait`. The queue is MPSC:
-    /// at most one consumer, so this is 0 or 1 in practice.
-    waiting_consumers: usize,
 }
 
 /// A bounded MPSC ring buffer with blocking, counted producer-side
-/// backpressure and (by default) non-blocking consumption.
+/// backpressure and non-blocking consumption.
 pub struct IngestQueue<T> {
     state: Mutex<State<T>>,
     not_full: Condvar,
-    not_empty: Condvar,
     capacity: usize,
     blocked_pushes: AtomicU64,
 }
@@ -108,21 +100,10 @@ impl<T> IngestQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
                 waiting_producers: 0,
-                waiting_consumers: 0,
             }),
             not_full: Condvar::new(),
-            not_empty: Condvar::new(),
             capacity,
             blocked_pushes: AtomicU64::new(0),
-        }
-    }
-
-    /// Wakes the (single) parked consumer if this insertion crossed the
-    /// empty→non-empty edge. `was_empty` is the emptiness *before* the
-    /// insertion, observed under the same mutex hold.
-    fn wake_consumer(&self, state: &State<T>, was_empty: bool) {
-        if was_empty && state.waiting_consumers > 0 {
-            self.not_empty.notify_one();
         }
     }
 
@@ -138,9 +119,7 @@ impl<T> IngestQueue<T> {
         if state.items.len() >= self.capacity {
             return Err(TryPushError::Full(item));
         }
-        let was_empty = state.items.is_empty();
         state.items.push_back(item);
-        self.wake_consumer(&state, was_empty);
         Ok(())
     }
 
@@ -160,9 +139,7 @@ impl<T> IngestQueue<T> {
                 return Err(PushClosed(item));
             }
             if state.items.len() < self.capacity {
-                let was_empty = state.items.is_empty();
                 state.items.push_back(item);
-                self.wake_consumer(&state, was_empty);
                 // Cascade: a drain can free many slots with a single
                 // notification. If this push was woken into one of those
                 // slots and room remains for the next parked producer,
@@ -211,12 +188,10 @@ impl<T> IngestQueue<T> {
             }
             let room = self.capacity - state.items.len();
             if room > 0 {
-                let was_empty = state.items.is_empty();
                 let take = room.min(batch.len());
                 for item in batch.drain(..take) {
                     state.items.push_back(item);
                 }
-                self.wake_consumer(&state, was_empty && take > 0);
                 if batch.is_empty() {
                     // Cascade (see `push`): more room may remain for the
                     // next parked producer after a many-slot drain.
@@ -291,33 +266,6 @@ impl<T> IngestQueue<T> {
         Drain::Items(take)
     }
 
-    /// Like [`IngestQueue::drain_into`], but blocks while the ring is empty
-    /// and open. Returns [`Drain::Closed`] once the queue is closed *and*
-    /// fully drained; never returns [`Drain::Empty`]. This is the
-    /// thread-per-shard consumer loop: park in the queue itself instead of
-    /// in an executor.
-    pub fn drain_wait(&self, buf: &mut Vec<T>, max: usize) -> Drain {
-        debug_assert!(max > 0, "drain_wait with max == 0 would never return items");
-        // PANIC: the state mutex is never poisoned (see `try_push`).
-        let mut state = self.state.lock().unwrap();
-        loop {
-            let len_before = state.items.len();
-            if len_before > 0 {
-                let take = len_before.min(max);
-                buf.extend(state.items.drain(..take));
-                self.wake_producers(&state, len_before, take);
-                return Drain::Items(take);
-            }
-            if state.closed {
-                return Drain::Closed;
-            }
-            state.waiting_consumers += 1;
-            // PANIC: Condvar::wait only fails on mutex poisoning (see `push`).
-            state = self.not_empty.wait(state).unwrap();
-            state.waiting_consumers -= 1;
-        }
-    }
-
     /// Closes the queue: queued items still drain, further pushes fail, and
     /// blocked producers wake with [`PushClosed`]. Used both for orderly
     /// shutdown (producer side, after the last push) and for poisoning
@@ -327,11 +275,9 @@ impl<T> IngestQueue<T> {
         // PANIC: the state mutex is never poisoned (see `try_push`).
         let mut state = self.state.lock().unwrap();
         state.closed = true;
-        // Close is a state change every waiter must observe, on both sides:
-        // producers fail their pushes, a parked consumer drains the backlog
-        // and sees `Closed`.
+        // Close is a state change every parked producer must observe: it
+        // fails its push instead of waiting for room.
         self.not_full.notify_all();
-        self.not_empty.notify_all();
     }
 
     /// Whether [`IngestQueue::close`] has been called.
@@ -520,30 +466,6 @@ mod tests {
         q.close();
         assert_eq!(q.drain_into(&mut buf, 10), Drain::Closed);
         assert_eq!(q.drain_into(&mut buf, 0), Drain::Items(0));
-    }
-
-    #[test]
-    fn drain_wait_blocks_until_items_then_closed() {
-        let q = Arc::new(IngestQueue::bounded(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut buf = Vec::new();
-                loop {
-                    match q.drain_wait(&mut buf, 16) {
-                        Drain::Items(_) => {}
-                        Drain::Closed => break,
-                        Drain::Empty => unreachable!("drain_wait never reports Empty"),
-                    }
-                }
-                buf
-            })
-        };
-        for i in 0..20 {
-            q.push(i).unwrap();
-        }
-        q.close();
-        assert_eq!(consumer.join().unwrap(), (0..20).collect::<Vec<u32>>());
     }
 
     /// Satellite pin: `pop` notifies only on the full→not-full edge, and

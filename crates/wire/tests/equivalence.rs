@@ -22,7 +22,9 @@ use icsad_core::metrics::ClassificationReport;
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-use icsad_engine::{Engine, EngineConfig, EngineReport, FrameBytes, IngestMode, RawFrame};
+use icsad_engine::{
+    Engine, EngineConfig, EngineReport, FrameBytes, IngestMode, RawFrame, TestSchedule,
+};
 use icsad_simulator::Packet;
 use icsad_wire::WireReplay;
 
@@ -158,7 +160,7 @@ fn replayed_frames_equal_direct_frames() {
 }
 
 /// The headline three-way property: wire replay ≡ direct ingest ≡
-/// per-record reference, in both ingest modes.
+/// per-record reference, on the real pool and under a seeded schedule.
 #[test]
 fn wire_replay_direct_ingest_and_per_record_agree() {
     let packets = common::fixture_traffic();
@@ -173,7 +175,14 @@ fn wire_replay_direct_ingest_and_per_record_agree() {
     let (reference, ref_alarms) = per_record_reference(&packets);
 
     for (name, ingest) in [
-        ("threads", IngestMode::Threads),
+        (
+            "seeded",
+            IngestMode::AsyncDeterministic(TestSchedule {
+                seed: 31,
+                workers: 2,
+                max_budget: 3,
+            }),
+        ),
         ("async", IngestMode::Async { workers: 2 }),
     ] {
         let wire_report = run_engine(&replayed, ingest);

@@ -11,7 +11,7 @@ use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
-use icsad_engine::{Engine, EngineConfig, FrameBytes, IngestMode, RawFrame};
+use icsad_engine::{Engine, EngineConfig, FrameBytes, IngestMode, RawFrame, TestSchedule};
 use icsad_wire::{MbapDecoder, PcapReader, WireReplay};
 use proptest::prelude::*;
 
@@ -183,9 +183,14 @@ fn engine_quarantines_exactly_the_malformed_frames() {
     let good: Vec<RawFrame> = packets.iter().take(120).map(RawFrame::from).collect();
     assert!(good.iter().all(RawFrame::is_well_formed));
 
+    let seeded = IngestMode::AsyncDeterministic(TestSchedule {
+        seed: 29,
+        workers: 2,
+        max_budget: 3,
+    });
     for (bad_count, mode) in [
-        (0usize, IngestMode::Threads),
-        (7, IngestMode::Threads),
+        (0usize, seeded),
+        (7, seeded),
         (7, IngestMode::Async { workers: 2 }),
         (23, IngestMode::Async { workers: 2 }),
     ] {

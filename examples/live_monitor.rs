@@ -27,21 +27,14 @@
 //! cargo run --release --example live_monitor
 //! ```
 //!
-//! Pass `--async` to drive the shards on the cooperative work-stealing
-//! ingest runtime ([`icsad::engine::IngestMode::Async`]) instead of one
-//! thread per shard — same decisions, fixed thread footprint; the shift
-//! summary then includes the scheduler's poll/steal/backpressure counters.
+//! The shards run as cooperative tasks on the engine's work-stealing pool;
+//! the shift summary includes the scheduler's poll/steal/backpressure
+//! counters.
 
 use icsad::prelude::*;
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ingest = if std::env::args().any(|a| a == "--async") {
-        // A fixed pool sized to the host; shards become cooperative tasks.
-        IngestMode::Async { workers: 0 }
-    } else {
-        IngestMode::Threads
-    };
     // Train on an anomaly-free commissioning capture covering every PLC
     // the engine will watch ("air-gapped" operation, paper §IV): records
     // are extracted per stream (correct per-stream intervals), then merged
@@ -124,7 +117,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             num_shards: 2,
             batch_size: 32,
             mode: EngineMode::AdaptiveK(DynamicKConfig::default()),
-            ingest,
             ..EngineConfig::default()
         },
     )?;

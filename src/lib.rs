@@ -49,8 +49,10 @@
 //! ```
 //!
 //! For the full two-level framework (Bloom filter + LSTM) use
-//! [`core::experiment::train_framework`]; see the `examples/` directory and
-//! EXPERIMENTS.md for paper-scale runs.
+//! [`core::experiment::train_framework`]; see the `examples/` directory,
+//! the per-table experiment binaries in `crates/bench` for paper-scale
+//! accuracy runs, and `BENCHMARK.json` / `perfbench/` for the paper-scale
+//! speed benchmark.
 
 #![forbid(unsafe_code)]
 
