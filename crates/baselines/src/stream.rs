@@ -1,5 +1,5 @@
-//! Stream-level adapters: every window baseline is also an
-//! [`icsad_core::Detector`] (offline) and, via [`WindowedBackend`], an
+//! Stream-level adapters: every window baseline scores a stream offline
+//! with [`windowed_decisions`] and, via [`WindowedBackend`], is an
 //! [`icsad_core::StreamingDetector`] the engine can host (online).
 //!
 //! The paper's comparison protocol (§VIII-C) groups four consecutive
@@ -21,12 +21,11 @@
 use std::sync::Arc;
 
 use icsad_core::streaming::{LaneDecision, StreamingSession, SwapError};
-use icsad_core::{CombinedDetector, Detector, StreamingDetector};
+use icsad_core::{CombinedDetector, KPolicy, StreamingDetector};
 use icsad_dataset::Record;
 
 use crate::detector::WindowDetector;
 use crate::window::Windows;
-use crate::{BayesianNetwork, Gmm, IsolationForest, PcaSvd, Svdd, WindowBloomFilter};
 
 /// Window width of the paper's baseline protocol (§VIII-C).
 pub const PAPER_WINDOW: usize = 4;
@@ -47,29 +46,6 @@ pub fn windowed_decisions<D: WindowDetector + ?Sized>(
     }
     out
 }
-
-macro_rules! impl_stream_detector {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl Detector for $ty {
-            fn name(&self) -> &'static str {
-                WindowDetector::name(self)
-            }
-
-            fn detect_stream(&self, records: &[Record]) -> Vec<bool> {
-                windowed_decisions(self, records, PAPER_WINDOW)
-            }
-        }
-    )+};
-}
-
-impl_stream_detector!(
-    WindowBloomFilter,
-    BayesianNetwork,
-    Svdd,
-    IsolationForest,
-    Gmm,
-    PcaSvd,
-);
 
 /// Engine adapter: any trained [`WindowDetector`] as a streaming backend.
 ///
@@ -121,7 +97,8 @@ impl<D: WindowDetector + Send + Sync + 'static> StreamingDetector for WindowedBa
         WindowDetector::name(&self.detector)
     }
 
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
+    /// Window baselines have no top-`k` rule: `_policy` is ignored.
+    fn begin_session(self: Arc<Self>, _policy: KPolicy) -> Box<dyn StreamingSession> {
         Box::new(WindowedSession {
             backend: self,
             buffers: Vec::new(),
@@ -183,7 +160,7 @@ impl<D: WindowDetector + Send + Sync + 'static> StreamingSession for WindowedSes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate_fpr;
+    use crate::{calibrate_fpr, IsolationForest};
     use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 
     #[test]
@@ -199,8 +176,7 @@ mod tests {
         let mut forest = IsolationForest::fit_windows(&train, 25, 64, 9).unwrap();
         calibrate_fpr(&mut forest, &train, 0.05);
 
-        let det: &dyn Detector = &forest;
-        let decisions = det.detect_stream(split.test());
+        let decisions = windowed_decisions(&forest, split.test(), PAPER_WINDOW);
         assert_eq!(decisions.len(), split.test().len());
         // Decisions are constant within each full window.
         for chunk in decisions.chunks(PAPER_WINDOW) {
@@ -210,8 +186,6 @@ mod tests {
                 assert!(chunk.iter().all(|&d| !d), "tail must be passed as normal");
             }
         }
-        let report = det.evaluate_stream(split.test());
-        assert_eq!(report.confusion.total(), split.test().len() as u64);
     }
 
     #[test]
@@ -234,7 +208,7 @@ mod tests {
 
         let backend = Arc::new(WindowedBackend::new(forest));
         assert!(!StreamingDetector::supports_hot_swap(&*backend));
-        let mut session = Arc::clone(&backend).begin_session();
+        let mut session = Arc::clone(&backend).begin_session(KPolicy::Fixed);
         let mut resolved: Vec<Vec<bool>> = vec![Vec::new(); streams.len()];
         for _ in &streams {
             session.add_lane();
@@ -300,26 +274,5 @@ mod tests {
         )
         .unwrap();
         Arc::new(trained.detector)
-    }
-
-    #[test]
-    fn all_six_baselines_expose_names_through_the_trait() {
-        // Compile-time coverage: each baseline type is a Detector.
-        fn name_of<D: Detector>(d: &D) -> &'static str {
-            d.name()
-        }
-        let data = GasPipelineDataset::generate(&DatasetConfig {
-            total_packages: 1_600,
-            seed: 6,
-            attack_probability: 0.05,
-            ..DatasetConfig::default()
-        });
-        let split = data.split_chronological(0.6, 0.2);
-        let train = Windows::over(split.train().records(), PAPER_WINDOW);
-
-        let forest = IsolationForest::fit_windows(&train, 10, 32, 1).unwrap();
-        assert!(!name_of(&forest).is_empty());
-        let pca = PcaSvd::fit_windows(&train, 0.95).unwrap();
-        assert!(!name_of(&pca).is_empty());
     }
 }

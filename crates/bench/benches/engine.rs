@@ -16,10 +16,10 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_core::{CombinedDetector, DynamicKConfig};
+use icsad_core::{CombinedDetector, DynamicKConfig, KPolicy};
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
-use icsad_engine::{Engine, EngineConfig, EngineMode};
+use icsad_engine::{Engine, EngineConfig};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -190,12 +190,12 @@ fn bench_engine(c: &mut Criterion) {
     });
     icsad_simd::reset();
 
-    // Same engine with per-stream dynamic-k controllers: tracks the
-    // controller's overhead (rank bookkeeping + rolling quantile) on the
-    // hot path relative to `sharded_engine`.
+    // Same engine under the dynamic-k lane policy (a controller per
+    // stream): tracks the controller's overhead (rolling quantile over its
+    // reused sort buffer) on the hot path relative to `sharded_engine`.
     group.bench_function("sharded_engine_adaptive_k", |b| {
         let adaptive_config = EngineConfig {
-            mode: EngineMode::AdaptiveK(DynamicKConfig::default()),
+            k_policy: KPolicy::Dynamic(DynamicKConfig::default()),
             ..engine_config.clone()
         };
         b.iter(|| {

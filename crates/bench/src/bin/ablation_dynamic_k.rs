@@ -2,8 +2,9 @@
 //! future work, §VIII-D/§IX — implemented in `icsad-core::dynamic_k`).
 
 use icsad_bench::{banner, print_table, BenchScale};
-use icsad_core::dynamic_k::{DynamicKConfig, DynamicKController};
+use icsad_core::dynamic_k::{DynamicKConfig, KPolicy};
 use icsad_core::experiment::train_framework;
+use icsad_core::ClassificationReport;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -32,20 +33,21 @@ fn main() {
             format!("{:.3}", report.f1_score()),
         ]);
     }
-    // Dynamic-k rows with different budgets.
+    // Dynamic-k rows with different budgets: one dynamic lane over the test
+    // capture, its controller seeded at the chosen k.
     for theta in [0.01f64, 0.05, 0.10] {
-        let mut controller = DynamicKController::new(
-            trained.chosen_k,
-            DynamicKConfig {
-                theta,
-                ..DynamicKConfig::default()
-            },
-        );
-        let report = trained
-            .detector
-            .evaluate_adaptive(&mut controller, split.test());
+        let detector = &trained.detector;
+        let mut lane = detector.begin_with(KPolicy::Dynamic(DynamicKConfig {
+            theta,
+            ..DynamicKConfig::default()
+        }));
+        let mut report = ClassificationReport::default();
+        for r in split.test() {
+            report.record(r.label, detector.classify(&mut lane, r).is_anomalous());
+        }
+        let final_k = lane.controller().expect("dynamic lane").k();
         rows.push(vec![
-            format!("dynamic θ={theta} (final k={})", controller.k()),
+            format!("dynamic θ={theta} (final k={final_k})"),
             format!("{:.3}", report.precision()),
             format!("{:.3}", report.recall()),
             format!("{:.3}", report.accuracy()),

@@ -1,10 +1,11 @@
 //! The combined anomaly detection framework (paper §VI, Fig. 3).
 
+use std::borrow::{Borrow, BorrowMut};
+
 use icsad_dataset::Record;
 use icsad_features::DiscreteVector;
-use icsad_simulator::AttackType;
 
-use crate::dynamic_k::DynamicKController;
+use crate::dynamic_k::{DynamicKController, KPolicy};
 use crate::metrics::ClassificationReport;
 use crate::package::PackageLevelDetector;
 use crate::timeseries::{TimeSeriesDetector, TsBatchScratch, TsState};
@@ -41,24 +42,82 @@ pub struct CombinedDetector {
     timeseries: TimeSeriesDetector,
 }
 
-/// Streaming state for the combined framework.
+/// Streaming state of one stream lane: the time-series state plus, under
+/// [`KPolicy::Dynamic`], the lane's own [`DynamicKController`].
+///
+/// The lane is one unit: opening, resetting, moving and swapping a lane
+/// always carries both halves together.
 #[derive(Debug, Clone)]
 pub struct CombinedState {
     ts: TsState,
+    k: Option<DynamicKController>,
+}
+
+impl CombinedState {
+    /// The lane's dynamic-`k` controller (`None` under [`KPolicy::Fixed`]).
+    pub fn controller(&self) -> Option<&DynamicKController> {
+        self.k.as_ref()
+    }
+
+    /// The policy this lane was opened with.
+    fn policy(&self) -> KPolicy {
+        match &self.k {
+            None => KPolicy::Fixed,
+            Some(controller) => KPolicy::Dynamic(controller.config()),
+        }
+    }
+
+    /// A hollow placeholder (no LSTM state, no controller): what a batch
+    /// lane slot holds while its real state is moved into a round
+    /// partition. Allocation-free.
+    fn hollow() -> CombinedState {
+        CombinedState {
+            ts: TsState::hollow(),
+            k: None,
+        }
+    }
+
+    /// The lane's top-`k` decision for a package that passed the Bloom
+    /// level, given the time-series step's fixed-`k` decision and the
+    /// signature's rank. Under a dynamic policy a ranked package is
+    /// compared against the controller's `k` (which then observes the
+    /// rank); an unranked one keeps the fixed decision, which is anomalous
+    /// exactly when the signature is unknown. The fixed decision is also
+    /// the anomaly bit the time-series step already fed back to the LSTM,
+    /// so the policy never changes the lane's LSTM trajectory.
+    fn decide(&mut self, fixed: bool, rank: Option<usize>) -> bool {
+        match (&mut self.k, rank) {
+            (Some(controller), Some(rank)) => controller.decide(rank),
+            _ => fixed,
+        }
+    }
+}
+
+impl Borrow<TsState> for CombinedState {
+    fn borrow(&self) -> &TsState {
+        &self.ts
+    }
+}
+
+impl BorrowMut<TsState> for CombinedState {
+    fn borrow_mut(&mut self) -> &mut TsState {
+        &mut self.ts
+    }
 }
 
 /// A set of independent per-stream lanes plus the scratch buffers that let
 /// [`CombinedDetector::classify_batch`] step all of them through the
 /// framework together.
 ///
-/// Lanes are added with [`CombinedDetector::add_lane`]; each lane carries
-/// one stream's [`CombinedState`]. All per-package scratch (discretized
-/// vectors, signature string, one-hot block, LSTM state blocks) is owned
-/// here and reused across flushes, so steady-state batched classification
+/// Lanes are added with [`CombinedDetector::add_lane`] /
+/// [`CombinedDetector::add_lane_with`]; each lane is one stream's
+/// [`CombinedState`]. All per-package scratch (discretized vectors,
+/// signature string, one-hot block, LSTM state blocks) is owned here and
+/// reused across flushes, so steady-state batched classification
 /// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct CombinedBatch {
-    states: Vec<TsState>,
+    lanes: Vec<CombinedState>,
     ts: TsBatchScratch,
     vectors: Vec<DiscreteVector>,
     ids: Vec<Option<usize>>,
@@ -72,35 +131,44 @@ pub struct CombinedBatch {
 impl CombinedBatch {
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
-        self.states.len()
+        self.lanes.len()
     }
 
-    /// Moves lane `lane`'s stream state out, leaving a hollow placeholder
-    /// behind. Used by partitioned rounds
-    /// ([`crate::streaming::RoundPartition`]): the moved-out state is
-    /// stepped inside a partition's own compact batch, then restored with
-    /// [`CombinedBatch::restore_lane_state`] before the lane is used again.
-    pub(crate) fn take_lane_state(&mut self, lane: usize) -> TsState {
-        std::mem::replace(&mut self.states[lane], TsState::hollow())
+    /// Lane `lane`'s stream state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of bounds.
+    pub fn lane(&self, lane: usize) -> &CombinedState {
+        &self.lanes[lane]
     }
 
-    /// Restores a lane state moved out by
-    /// [`CombinedBatch::take_lane_state`].
-    pub(crate) fn restore_lane_state(&mut self, lane: usize, state: TsState) {
-        self.states[lane] = state;
+    /// Moves lane `lane` out, leaving a hollow placeholder behind. Used by
+    /// partitioned rounds ([`crate::streaming::RoundPartition`]): the
+    /// moved-out lane is stepped inside a partition's own compact batch,
+    /// then restored with [`CombinedBatch::restore_lane_state`] before the
+    /// lane is used again.
+    pub(crate) fn take_lane_state(&mut self, lane: usize) -> CombinedState {
+        std::mem::replace(&mut self.lanes[lane], CombinedState::hollow())
     }
 
-    /// Appends a moved-in lane state (building a compact partition batch
-    /// whose local lanes `0..n` map onto a subset of another batch's
-    /// lanes).
-    pub(crate) fn push_lane_state(&mut self, state: TsState) {
-        self.states.push(state);
+    /// Restores a lane moved out by [`CombinedBatch::take_lane_state`].
+    pub(crate) fn restore_lane_state(&mut self, lane: usize, state: CombinedState) {
+        self.lanes[lane] = state;
     }
 
-    /// Drains every lane state in lane order (partition teardown: the
-    /// states travel back to their home batch).
-    pub(crate) fn drain_lane_states(&mut self) -> std::vec::Drain<'_, TsState> {
-        self.states.drain(..)
+    /// Appends a lane and returns its index (also builds compact partition
+    /// batches whose local lanes `0..n` map onto a subset of another
+    /// batch's lanes).
+    pub(crate) fn push_lane_state(&mut self, state: CombinedState) -> usize {
+        self.lanes.push(state);
+        self.lanes.len() - 1
+    }
+
+    /// Drains every lane in lane order (partition teardown: the lanes
+    /// travel back to their home batch).
+    pub(crate) fn drain_lane_states(&mut self) -> std::vec::Drain<'_, CombinedState> {
+        self.lanes.drain(..)
     }
 }
 
@@ -142,27 +210,43 @@ impl CombinedDetector {
         self.package.memory_bytes() + self.timeseries.memory_bytes()
     }
 
-    /// Begins a streaming classification pass.
+    /// Begins a streaming classification pass under the fixed commissioned
+    /// `k` ([`CombinedDetector::begin_with`] with [`KPolicy::Fixed`]).
     pub fn begin(&self) -> CombinedState {
+        self.begin_with(KPolicy::Fixed)
+    }
+
+    /// Begins a streaming classification pass whose top-`k` rule follows
+    /// `policy`; a dynamic lane's controller starts at the commissioned `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dynamic config fails
+    /// [`crate::dynamic_k::DynamicKConfig::validate`].
+    pub fn begin_with(&self, policy: KPolicy) -> CombinedState {
         CombinedState {
             ts: self.timeseries.begin(),
+            k: policy.controller(self.k()),
         }
     }
 
-    /// Classifies one package and feeds it back into the time-series state.
+    /// Classifies one package and feeds it back into the time-series state
+    /// — the per-record reference every batched and engine path is
+    /// checked against. The top-`k` rule follows the lane's policy.
     pub fn classify(&self, state: &mut CombinedState, record: &Record) -> DetectionLevel {
         let vector = self.package.discretizer().discretize(record);
         let sig = icsad_features::signature_of(&vector);
         if self.package.signature_is_anomalous(&sig) {
-            // Bloom-level anomaly: skip the time-series check but still
-            // feed the package into the LSTM with its anomaly bit set.
+            // Bloom-level anomaly: skip the time-series check (and the
+            // lane's controller) but still feed the package into the LSTM
+            // with its anomaly bit set.
             self.timeseries
                 .process(&mut state.ts, &vector, None, Some(true));
             return DetectionLevel::PackageLevel;
         }
         let id = self.timeseries.vocabulary().id_of(&sig);
-        let anomalous = self.timeseries.process(&mut state.ts, &vector, id, None);
-        if anomalous {
+        let (fixed, rank) = self.timeseries.process(&mut state.ts, &vector, id, None);
+        if state.decide(fixed, rank) {
             DetectionLevel::TimeSeriesLevel
         } else {
             DetectionLevel::Normal
@@ -173,7 +257,7 @@ impl CombinedDetector {
     /// [`CombinedDetector::add_lane`].
     pub fn begin_batch(&self) -> CombinedBatch {
         CombinedBatch {
-            states: Vec::new(),
+            lanes: Vec::new(),
             ts: self.timeseries.batch_scratch(),
             vectors: Vec::new(),
             ids: Vec::new(),
@@ -185,22 +269,31 @@ impl CombinedDetector {
         }
     }
 
-    /// Adds a fresh stream lane to a batch and returns its lane index.
+    /// Adds a fresh fixed-`k` stream lane to a batch and returns its lane
+    /// index.
     pub fn add_lane(&self, batch: &mut CombinedBatch) -> usize {
-        batch.states.push(self.timeseries.begin());
-        batch.states.len() - 1
+        self.add_lane_with(batch, KPolicy::Fixed)
     }
 
-    /// Resets lane `lane`'s stream state to the exact cold-start state
-    /// [`CombinedDetector::add_lane`] installs, so a recycled lane
-    /// classifies bit-identically to a freshly added one. Used by the
-    /// engine's lane-retirement path when a stream leaves the topology.
+    /// Adds a fresh stream lane whose top-`k` rule follows `policy` (the
+    /// state [`CombinedDetector::begin_with`] returns) and returns its lane
+    /// index.
+    pub fn add_lane_with(&self, batch: &mut CombinedBatch, policy: KPolicy) -> usize {
+        batch.push_lane_state(self.begin_with(policy))
+    }
+
+    /// Resets lane `lane` to the exact cold-start state a freshly added
+    /// lane under the same policy gets (LSTM state, rolling prediction and
+    /// any dynamic-`k` controller), so a recycled lane classifies
+    /// bit-identically to a new one. Used by the engine's lane-retirement
+    /// path when a stream leaves the topology.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of bounds.
     pub fn reset_lane(&self, batch: &mut CombinedBatch, lane: usize) {
-        batch.states[lane] = self.timeseries.begin();
+        let policy = batch.lanes[lane].policy();
+        batch.lanes[lane] = self.begin_with(policy);
     }
 
     /// Batched [`CombinedDetector::classify`]: classifies one package for
@@ -210,9 +303,11 @@ impl CombinedDetector {
     /// `lanes[i]`. The package level (discretization, signature, Bloom
     /// probe) runs per lane with reused scratch; the time-series level then
     /// advances every lane through the LSTM as one matrix–matrix product
-    /// ([`TimeSeriesDetector::process_batch`]). Decisions are appended to
-    /// `out` in entry order and match a per-record [`CombinedDetector::classify`]
-    /// loop on each stream exactly.
+    /// ([`TimeSeriesDetector::process_batch`]), and each lane applies its
+    /// own top-`k` policy to the rank that step computed. Decisions are
+    /// appended to `out` in entry order and match a per-record
+    /// [`CombinedDetector::classify`] loop on each stream exactly — lane
+    /// states and controllers included.
     ///
     /// # Panics
     ///
@@ -228,68 +323,7 @@ impl CombinedDetector {
         self.package_stage(batch, lanes, records);
 
         self.timeseries.process_batch(
-            &mut batch.states,
-            lanes,
-            &batch.vectors,
-            &batch.ids,
-            &batch.flags,
-            &mut batch.ts,
-            &mut batch.ts_decisions,
-        );
-
-        out.extend(
-            batch
-                .package_hits
-                .iter()
-                .zip(batch.ts_decisions.iter())
-                .map(|(&package_hit, &ts_hit)| {
-                    if package_hit {
-                        DetectionLevel::PackageLevel
-                    } else if ts_hit {
-                        DetectionLevel::TimeSeriesLevel
-                    } else {
-                        DetectionLevel::Normal
-                    }
-                }),
-        );
-    }
-
-    /// Batched [`CombinedDetector::classify_adaptive`]: like
-    /// [`CombinedDetector::classify_batch`], but each lane's top-`k`
-    /// decision uses that lane's [`DynamicKController`] (`controllers[lane]`,
-    /// one per batch lane) instead of the fixed `k`, and every in-bound
-    /// rank feeds back into the lane's controller.
-    ///
-    /// The signature ranks are the ones the batched LSTM step computes
-    /// anyway ([`TimeSeriesDetector::process_batch_with_ranks`]), so the
-    /// adaptive rule adds no extra model work. The LSTM feedback bit stays
-    /// the *fixed*-`k` decision — exactly as in the per-record
-    /// [`CombinedDetector::classify_adaptive`] — so decisions and every
-    /// lane's state are bit-identical to a per-record adaptive loop on each
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `controllers.len() != batch.lanes()`, plus everything
-    /// [`CombinedDetector::classify_batch`] panics on.
-    pub fn classify_batch_adaptive(
-        &self,
-        batch: &mut CombinedBatch,
-        lanes: &[usize],
-        records: &[Record],
-        controllers: &mut [DynamicKController],
-        out: &mut Vec<DetectionLevel>,
-    ) {
-        assert_eq!(
-            controllers.len(),
-            batch.lanes(),
-            "one controller per batch lane"
-        );
-        self.package_stage(batch, lanes, records);
-
-        batch.ranks.clear();
-        self.timeseries.process_batch_with_ranks(
-            &mut batch.states,
+            &mut batch.lanes,
             lanes,
             &batch.vectors,
             &batch.ids,
@@ -300,26 +334,11 @@ impl CombinedDetector {
         );
 
         for (i, &lane) in lanes.iter().enumerate() {
-            if batch.package_hits[i] {
-                // Bloom-level anomalies bypass the top-k rule entirely; the
-                // controller never sees them (classify_adaptive likewise).
-                out.push(DetectionLevel::PackageLevel);
-                continue;
-            }
-            let controller = &mut controllers[lane];
-            let rank = batch.ranks[i];
-            // Decide with the controller's current k, then feed the rank
-            // back — same order as the per-record path.
-            let anomalous = match rank {
-                Some(rank) => rank > controller.k(),
-                None => batch.ids[i].is_none(),
-            };
-            if let Some(rank) = rank {
-                if rank <= controller.max_k() {
-                    controller.observe_rank(rank);
-                }
-            }
-            out.push(if anomalous {
+            // Bloom-level anomalies bypass the top-k rule, and with it the
+            // lane's controller.
+            out.push(if batch.package_hits[i] {
+                DetectionLevel::PackageLevel
+            } else if batch.lanes[lane].decide(batch.ts_decisions[i], batch.ranks[i]) {
                 DetectionLevel::TimeSeriesLevel
             } else {
                 DetectionLevel::Normal
@@ -346,6 +365,7 @@ impl CombinedDetector {
         batch.flags.clear();
         batch.package_hits.clear();
         batch.ts_decisions.clear();
+        batch.ranks.clear();
         for r in records {
             let vector = disc.discretize(r);
             icsad_features::write_signature(&vector, &mut batch.sig_buf);
@@ -402,63 +422,6 @@ impl CombinedDetector {
         results
     }
 
-    /// Classifies one package under a dynamic-`k` controller (the paper's
-    /// future-work extension, see [`crate::dynamic_k`]): the controller's
-    /// current `k` replaces the fixed top-`k` rule, and the rank of every
-    /// *accepted* package feeds back into the controller.
-    pub fn classify_adaptive(
-        &self,
-        state: &mut CombinedState,
-        controller: &mut DynamicKController,
-        record: &Record,
-    ) -> DetectionLevel {
-        let vector = self.package.discretizer().discretize(record);
-        let sig = icsad_features::signature_of(&vector);
-        if self.package.signature_is_anomalous(&sig) {
-            self.timeseries
-                .process(&mut state.ts, &vector, None, Some(true));
-            return DetectionLevel::PackageLevel;
-        }
-        let id = self.timeseries.vocabulary().id_of(&sig);
-        let (_, rank) = self
-            .timeseries
-            .process_with_rank(&mut state.ts, &vector, id, None);
-        // Decide with the controller's k rather than the fixed one.
-        let anomalous = match rank {
-            Some(rank) => rank > controller.k(),
-            None => id.is_none(),
-        };
-        // Feed the controller every package whose rank is plausibly normal
-        // (within the controller's bound) — not just packages accepted at
-        // the *current* k, which would self-censor and pin k at its floor.
-        if let Some(rank) = rank {
-            if rank <= controller.max_k() {
-                controller.observe_rank(rank);
-            }
-        }
-        if anomalous {
-            DetectionLevel::TimeSeriesLevel
-        } else {
-            DetectionLevel::Normal
-        }
-    }
-
-    /// Classifies a stream with dynamic `k` and evaluates against ground
-    /// truth.
-    pub fn evaluate_adaptive(
-        &self,
-        controller: &mut DynamicKController,
-        records: &[Record],
-    ) -> ClassificationReport {
-        let mut state = self.begin();
-        let mut report = ClassificationReport::default();
-        for r in records {
-            let level = self.classify_adaptive(&mut state, controller, r);
-            report.record(r.label, level.is_anomalous());
-        }
-        report
-    }
-
     /// Classifies a whole record stream, returning one level per package.
     pub fn classify_stream(&self, records: &[Record]) -> Vec<DetectionLevel> {
         let mut state = self.begin();
@@ -487,15 +450,6 @@ impl CombinedDetector {
             report.record(r.label, self.package.is_anomalous(r));
         }
         report
-    }
-
-    /// Convenience per-attack summary from an evaluation.
-    pub fn per_attack_table(&self, records: &[Record]) -> Vec<(AttackType, Option<f64>)> {
-        let report = self.evaluate(records);
-        AttackType::ALL
-            .iter()
-            .map(|&ty| (ty, report.per_attack.ratio(ty)))
-            .collect()
     }
 }
 
@@ -602,17 +556,45 @@ mod tests {
 
     #[test]
     fn adaptive_classification_produces_sane_reports() {
-        use crate::dynamic_k::{DynamicKConfig, DynamicKController};
+        use crate::dynamic_k::DynamicKConfig;
         let (det, split) = build(10_000, 8, 5);
-        let mut controller = DynamicKController::new(det.k(), DynamicKConfig::default());
-        let adaptive = det.evaluate_adaptive(&mut controller, split.test());
+        let mut state = det.begin_with(KPolicy::Dynamic(DynamicKConfig::default()));
+        let mut adaptive = ClassificationReport::default();
+        for r in split.test() {
+            adaptive.record(r.label, det.classify(&mut state, r).is_anomalous());
+        }
         let fixed = det.evaluate(split.test());
         assert_eq!(adaptive.confusion.total(), fixed.confusion.total());
         // The controller converged onto some k within bounds and kept a
         // recall in the same regime as the fixed rule.
+        let controller = state.controller().expect("dynamic lane");
         assert!((1..=10).contains(&controller.k()));
         assert!(adaptive.recall() > fixed.recall() - 0.25);
         assert!(controller.observations() > 0);
+    }
+
+    #[test]
+    fn reset_lane_keeps_the_lane_policy_and_cold_starts_it() {
+        use crate::dynamic_k::DynamicKConfig;
+        let (det, split) = build(6_000, 11, 1);
+        let policy = KPolicy::Dynamic(DynamicKConfig {
+            window: 16,
+            ..DynamicKConfig::default()
+        });
+        let mut batch = det.begin_batch();
+        let fixed = det.add_lane(&mut batch);
+        let dynamic = det.add_lane_with(&mut batch, policy);
+        let mut out = Vec::new();
+        for pair in split.test()[..200].chunks_exact(2) {
+            det.classify_batch(&mut batch, &[fixed, dynamic], pair, &mut out);
+        }
+        assert!(batch.lane(dynamic).controller().unwrap().observations() > 0);
+        det.reset_lane(&mut batch, dynamic);
+        det.reset_lane(&mut batch, fixed);
+        assert_eq!(batch.lane(fixed).policy(), KPolicy::Fixed);
+        assert_eq!(batch.lane(dynamic).policy(), policy);
+        let controller = batch.lane(dynamic).controller().unwrap();
+        assert_eq!((controller.k(), controller.observations()), (det.k(), 0));
     }
 
     #[test]

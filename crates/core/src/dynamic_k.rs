@@ -17,6 +17,12 @@
 //! which directly estimates the smallest `k` whose false-positive rate on
 //! recent normal-looking traffic is below θ — the same rule the static
 //! choice-of-`k` applies to the validation set, made rolling.
+//!
+//! Dynamic `k` is a per-lane [`KPolicy`], not a second decision path: a
+//! stream lane opened under [`KPolicy::Dynamic`] carries its own
+//! controller, and the combined framework's one `classify` /
+//! `classify_batch` compares the package's rank against that controller's
+//! `k` instead of the commissioned one.
 
 use std::collections::VecDeque;
 
@@ -44,11 +50,97 @@ impl Default for DynamicKConfig {
     }
 }
 
+impl DynamicKConfig {
+    /// Checks the configuration: `min_k >= 1`, `min_k <= max_k`,
+    /// `window > 0` and θ ∈ (0, 1). [`DynamicKController::new`] and the
+    /// engine's configuration check both apply exactly these rules.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule as a [`DynamicKConfigError`].
+    pub fn validate(&self) -> Result<(), DynamicKConfigError> {
+        if self.min_k == 0 {
+            return Err(DynamicKConfigError::ZeroMinK);
+        }
+        if self.min_k > self.max_k {
+            return Err(DynamicKConfigError::MinAboveMax);
+        }
+        if self.window == 0 {
+            return Err(DynamicKConfigError::ZeroWindow);
+        }
+        if !(self.theta > 0.0 && self.theta < 1.0) {
+            return Err(DynamicKConfigError::ThetaOutOfRange);
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`DynamicKConfig`] was rejected by [`DynamicKConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DynamicKConfigError {
+    /// `min_k == 0`: a top-0 rule would flag every package.
+    ZeroMinK,
+    /// `min_k > max_k`: no `k` satisfies both bounds.
+    MinAboveMax,
+    /// `window == 0`: there would be no ranks to estimate from.
+    ZeroWindow,
+    /// θ outside (0, 1): the quantile `1 - θ` would be degenerate.
+    ThetaOutOfRange,
+}
+
+impl std::fmt::Display for DynamicKConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DynamicKConfigError::ZeroMinK => "min_k must be positive",
+            DynamicKConfigError::MinAboveMax => "min_k must not exceed max_k",
+            DynamicKConfigError::ZeroWindow => "window must be positive",
+            DynamicKConfigError::ThetaOutOfRange => "theta must be in (0, 1)",
+        })
+    }
+}
+
+impl std::error::Error for DynamicKConfigError {}
+
+/// Which `k` a stream lane's top-`k` rule compares ranks against.
+///
+/// The decision itself never changes (Bloom check, then the rank of the
+/// package's signature against `k`); the policy only picks the `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum KPolicy {
+    /// The detector's commissioned `k` (set by `choose_k`/`set_k` or
+    /// loaded from the artifact).
+    #[default]
+    Fixed,
+    /// A per-lane [`DynamicKController`] seeded at the commissioned `k`
+    /// (paper §VIII-D future work): each stream adapts its own `k` to its
+    /// recent prediction ranks.
+    Dynamic(DynamicKConfig),
+}
+
+impl KPolicy {
+    /// The per-lane controller this policy installs on a cold lane:
+    /// `None` for [`KPolicy::Fixed`], a fresh controller starting at
+    /// `commissioned_k` for [`KPolicy::Dynamic`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dynamic config fails [`DynamicKConfig::validate`].
+    pub(crate) fn controller(&self, commissioned_k: usize) -> Option<DynamicKController> {
+        match *self {
+            KPolicy::Fixed => None,
+            KPolicy::Dynamic(config) => Some(DynamicKController::new(commissioned_k, config)),
+        }
+    }
+}
+
 /// Rolling estimator of the optimal `k` from recent prediction ranks.
 #[derive(Debug, Clone)]
 pub struct DynamicKController {
     config: DynamicKConfig,
     ranks: VecDeque<usize>,
+    /// Sort buffer for the quantile estimate, sized to the window once at
+    /// construction so observing a rank never allocates.
+    sorted: Vec<usize>,
     current_k: usize,
 }
 
@@ -57,21 +149,25 @@ impl DynamicKController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (`min_k == 0`,
-    /// `min_k > max_k`, `window == 0`, or θ ∉ (0, 1)).
+    /// Panics if the configuration fails [`DynamicKConfig::validate`]
+    /// (`min_k == 0`, `min_k > max_k`, `window == 0`, or θ ∉ (0, 1)).
     pub fn new(initial_k: usize, config: DynamicKConfig) -> Self {
-        assert!(config.min_k >= 1, "min_k must be positive");
-        assert!(config.min_k <= config.max_k, "min_k must not exceed max_k");
-        assert!(config.window > 0, "window must be positive");
-        assert!(
-            config.theta > 0.0 && config.theta < 1.0,
-            "theta must be in (0, 1)"
-        );
+        if let Err(e) = config.validate() {
+            // PANIC: documented contract; `DynamicKConfig::validate` is the
+            // typed alternative and the engine runs it before any lane exists.
+            panic!("invalid DynamicKConfig: {e}");
+        }
         DynamicKController {
             config,
             ranks: VecDeque::with_capacity(config.window),
+            sorted: Vec::with_capacity(config.window),
             current_k: initial_k.clamp(config.min_k, config.max_k),
         }
+    }
+
+    /// The configuration this controller was built with.
+    pub(crate) fn config(&self) -> DynamicKConfig {
+        self.config
     }
 
     /// The `k` currently in force.
@@ -89,6 +185,20 @@ impl DynamicKController {
     /// Number of rank observations currently in the window.
     pub fn observations(&self) -> usize {
         self.ranks.len()
+    }
+
+    /// The top-`k` decision for a package whose signature ranked `rank`
+    /// (1-based) in the prediction: anomalous iff `rank > k()` under the
+    /// `k` in force *before* this package. Afterwards the rank feeds the
+    /// window when it is plausibly normal (`rank <= max_k()`) — not only
+    /// when it was accepted at the current `k`, which would self-censor
+    /// and pin `k` at its floor.
+    pub(crate) fn decide(&mut self, rank: usize) -> bool {
+        let anomalous = rank > self.current_k;
+        if rank <= self.config.max_k {
+            self.observe_rank(rank);
+        }
+        anomalous
     }
 
     /// Records the rank (1-based position in the sorted prediction) of an
@@ -116,7 +226,9 @@ impl DynamicKController {
         self.ranks.push_back(rank.max(1));
         // Re-estimate once enough evidence exists.
         if self.ranks.len() >= self.config.window / 4 {
-            let mut sorted: Vec<usize> = self.ranks.iter().copied().collect();
+            let sorted = &mut self.sorted;
+            sorted.clear();
+            sorted.extend(self.ranks.iter().copied());
             sorted.sort_unstable();
             let idx = (((sorted.len() as f64) * (1.0 - self.config.theta)).ceil() as usize)
                 .min(sorted.len())
@@ -279,5 +391,50 @@ mod tests {
                 ..DynamicKConfig::default()
             },
         );
+    }
+
+    #[test]
+    fn decide_compares_before_observing_and_skips_out_of_bound_ranks() {
+        let mut c = controller(64, 0.05);
+        assert!(!c.decide(4), "rank == k is accepted");
+        assert!(c.decide(5), "rank > k is anomalous");
+        assert_eq!(c.observations(), 2, "in-bound ranks feed the window");
+        assert!(c.decide(11), "rank above max_k is anomalous");
+        assert_eq!(c.observations(), 2, "out-of-bound ranks never feed it");
+    }
+
+    /// The reused sort buffer must reproduce the quantile of a freshly
+    /// collected window for every observation.
+    #[test]
+    fn rolling_quantile_matches_a_fresh_sort_every_step() {
+        let config = DynamicKConfig {
+            min_k: 2,
+            max_k: 9,
+            window: 40,
+            theta: 0.1,
+        };
+        let mut c = DynamicKController::new(5, config);
+        let mut window: VecDeque<usize> = VecDeque::new();
+        let mut expected_k = 5;
+        let mut x = 17u64;
+        for _ in 0..500 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let rank = 1 + (x >> 33) as usize % 9;
+            if window.len() == config.window {
+                window.pop_front();
+            }
+            window.push_back(rank);
+            if window.len() >= config.window / 4 {
+                let mut sorted: Vec<usize> = window.iter().copied().collect();
+                sorted.sort_unstable();
+                let idx = (((sorted.len() as f64) * (1.0 - config.theta)).ceil() as usize)
+                    .min(sorted.len())
+                    .saturating_sub(1);
+                expected_k = sorted[idx].clamp(config.min_k, config.max_k);
+            }
+            assert_eq!(c.observe_rank(rank), expected_k);
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! The streaming backend abstraction: pluggable detectors for the engine.
 //!
-//! The offline [`Detector`](crate::Detector) trait answers "which packages
-//! of this finished capture are anomalous?". An *online* monitor needs the
-//! same question answered incrementally, over many interleaved streams at
-//! once, which adds three requirements the offline trait cannot express:
+//! An online monitor answers "is this package anomalous?" incrementally,
+//! over many interleaved streams at once, which needs three things a plain
+//! per-capture function cannot express:
 //!
 //! * **per-stream state** — each monitored PLC carries its own detector
 //!   state (LSTM state, dynamic-k controller, window buffer),
@@ -14,14 +13,14 @@
 //!   only judge a package once its window completes, so a decision may
 //!   resolve several rounds after its package was pushed.
 //!
-//! [`StreamingDetector`] + [`StreamingSession`] pin that contract down.
-//! Three backend families implement it:
+//! [`StreamingDetector`] + [`StreamingSession`] pin that contract down;
+//! they are the workspace's one detector interface. Two backend families
+//! implement it:
 //!
 //! | backend | built on | decisions |
 //! |---|---|---|
-//! | [`CombinedDetector`] | `classify_batch` | immediate, fixed top-`k` |
-//! | [`AdaptiveCombined`] | `classify_batch_adaptive` | immediate, per-stream dynamic `k` |
-//! | `icsad_baselines::stream::WindowedBackend` | §VIII-C window protocol | deferred per window |
+//! | [`CombinedDetector`] | `classify_batch`, top-`k` per the session's [`KPolicy`] (fixed or per-stream dynamic `k`) | immediate |
+//! | `icsad_baselines::stream::WindowedBackend` | §VIII-C window protocol (ignores the policy) | deferred per window |
 //!
 //! Sessions hosting a [`CombinedDetector`] additionally support
 //! **hot-reload** ([`StreamingSession::swap_combined`]): a freshly
@@ -34,7 +33,7 @@ use std::sync::Arc;
 use icsad_dataset::Record;
 
 use crate::combined::{CombinedBatch, CombinedDetector, DetectionLevel};
-use crate::dynamic_k::{DynamicKConfig, DynamicKController};
+use crate::dynamic_k::KPolicy;
 
 /// One resolved per-package decision, attributed to a session lane.
 ///
@@ -91,10 +90,10 @@ impl std::error::Error for SwapError {}
 /// One disjoint lane partition of a classification round, detached from
 /// its session so it can be classified on any thread.
 ///
-/// Produced by [`StreamingSession::fork_round`]: the partition *owns* the
-/// moved-out per-lane mutable state of its lanes (LSTM lane cells,
-/// dynamic-`k` controllers, batch scratch) plus this round's records, and
-/// shares only the `Arc`'d read-only detector weights with its siblings.
+/// Produced by [`StreamingSession::fork_round`]: the partition *owns* its
+/// moved-out lanes (LSTM lane cells with any dynamic-`k` controller), its
+/// batch scratch and this round's records, and shares only the `Arc`'d
+/// read-only detector weights with its siblings.
 /// Two partitions of one round therefore never alias mutable memory —
 /// [`RoundPartition::run`] needs `&mut self` and nothing else — which is
 /// what lets a work-stealing pool classify them concurrently. (`Send`
@@ -117,9 +116,6 @@ pub struct RoundPartition {
     /// Compact batch: local lane `i` holds the moved-in state of global
     /// lane `lanes[i]`.
     batch: CombinedBatch,
-    /// Compacted controllers, one per lane (adaptive mode); empty in
-    /// fixed-`k` mode.
-    controllers: Vec<DynamicKController>,
     levels: Vec<DetectionLevel>,
 }
 
@@ -131,7 +127,6 @@ impl RoundPartition {
             lanes: Vec::new(),
             local: Vec::new(),
             records: Vec::new(),
-            controllers: Vec::new(),
             levels: Vec::new(),
         }
     }
@@ -149,22 +144,12 @@ impl RoundPartition {
     /// *where* and *when* this runs cannot change them.
     pub fn run(&mut self) {
         self.levels.clear();
-        if self.controllers.is_empty() {
-            self.detector.classify_batch(
-                &mut self.batch,
-                &self.local,
-                &self.records,
-                &mut self.levels,
-            );
-        } else {
-            self.detector.classify_batch_adaptive(
-                &mut self.batch,
-                &self.local,
-                &self.records,
-                &mut self.controllers,
-                &mut self.levels,
-            );
-        }
+        self.detector.classify_batch(
+            &mut self.batch,
+            &self.local,
+            &self.records,
+            &mut self.levels,
+        );
     }
 }
 
@@ -172,17 +157,16 @@ impl RoundPartition {
 /// [`StreamingSession`]s.
 ///
 /// A backend is immutable shared configuration (trained model, window
-/// width, dynamic-k bounds); all mutable per-stream state lives in the
-/// sessions it opens. One backend is typically shared by every shard of an
-/// engine via `Arc`.
+/// width); all mutable per-stream state lives in the sessions it opens.
+/// One backend is typically shared by every shard of an engine via `Arc`.
 pub trait StreamingDetector: Send + Sync {
-    /// Short display name (mirrors [`Detector::name`](crate::Detector::name)
-    /// for backends that also implement the offline trait).
+    /// Short display name (as used in Tables IV and V).
     fn name(&self) -> &str;
 
     /// Opens a fresh session with no lanes; add one lane per stream with
-    /// [`StreamingSession::add_lane`].
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession>;
+    /// [`StreamingSession::add_lane`]. Backends built on a top-`k` rule
+    /// open every lane under `policy`; others ignore it.
+    fn begin_session(self: Arc<Self>, policy: KPolicy) -> Box<dyn StreamingSession>;
 
     /// Whether sessions opened by this backend accept
     /// [`StreamingSession::swap_combined`] (hot-reload from an `ICSA`
@@ -289,8 +273,8 @@ pub trait StreamingSession: Send {
     }
 
     /// Joins the partitions of one forked round after each has
-    /// [`RoundPartition::run`]: restores every moved-out lane state (and
-    /// controller) to its session slot and appends the partitions'
+    /// [`RoundPartition::run`]: restores every moved-out lane to its
+    /// session slot and appends the partitions'
     /// decisions to `out` in fork order — the exact sequence the atomic
     /// `classify_batch` would have produced.
     ///
@@ -307,14 +291,12 @@ pub trait StreamingSession: Send {
     }
 }
 
-/// Session shared by the two combined-framework backends: fixed top-`k`
-/// ([`CombinedDetector`]) and per-stream dynamic-`k` ([`AdaptiveCombined`]).
+/// Session of the combined-framework backend: one [`CombinedBatch`] whose
+/// lanes all follow the session's [`KPolicy`].
 struct CombinedSession {
     detector: Arc<CombinedDetector>,
+    policy: KPolicy,
     batch: CombinedBatch,
-    /// `Some` in adaptive mode: the controller config plus one controller
-    /// per lane.
-    adaptive: Option<(DynamicKConfig, Vec<DynamicKController>)>,
     levels: Vec<DetectionLevel>,
     /// Retired [`RoundPartition`]s recycled across forked rounds, so
     /// steady-state splitting reuses their batch scratch instead of
@@ -323,26 +305,9 @@ struct CombinedSession {
     spares: Vec<RoundPartition>,
 }
 
-impl CombinedSession {
-    fn new(detector: Arc<CombinedDetector>, adaptive: Option<DynamicKConfig>) -> Self {
-        CombinedSession {
-            batch: detector.begin_batch(),
-            adaptive: adaptive.map(|config| (config, Vec::new())),
-            detector,
-            levels: Vec::new(),
-            spares: Vec::new(),
-        }
-    }
-}
-
 impl StreamingSession for CombinedSession {
     fn add_lane(&mut self) -> usize {
-        let lane = self.detector.add_lane(&mut self.batch);
-        if let Some((config, controllers)) = &mut self.adaptive {
-            controllers.push(DynamicKController::new(self.detector.k(), *config));
-            debug_assert_eq!(controllers.len(), lane + 1);
-        }
-        lane
+        self.detector.add_lane_with(&mut self.batch, self.policy)
     }
 
     fn lanes(&self) -> usize {
@@ -371,18 +336,8 @@ impl StreamingSession for CombinedSession {
         }
         let emitted_from = out.len();
         self.levels.clear();
-        match &mut self.adaptive {
-            None => self
-                .detector
-                .classify_batch(&mut self.batch, lanes, records, &mut self.levels),
-            Some((_, controllers)) => self.detector.classify_batch_adaptive(
-                &mut self.batch,
-                lanes,
-                records,
-                controllers,
-                &mut self.levels,
-            ),
-        }
+        self.detector
+            .classify_batch(&mut self.batch, lanes, records, &mut self.levels);
         out.extend(
             lanes
                 .iter()
@@ -406,14 +361,11 @@ impl StreamingSession for CombinedSession {
     }
 
     fn retire_lane(&mut self, lane: usize) -> bool {
-        // Same reset `add_lane` performs on a fresh slot, so a stream
-        // assigned to the recycled lane classifies bit-identically to a
-        // cold start. Decisions resolve at push time, so nothing can be
-        // pending on the departing stream.
+        // Same cold state `add_lane` installs on a fresh slot (controller
+        // included), so a stream assigned to the recycled lane classifies
+        // bit-identically to a cold start. Decisions resolve at push time,
+        // so nothing can be pending on the departing stream.
         self.detector.reset_lane(&mut self.batch, lane);
-        if let Some((config, controllers)) = &mut self.adaptive {
-            controllers[lane] = DynamicKController::new(self.detector.k(), *config);
-        }
         true
     }
 
@@ -421,12 +373,8 @@ impl StreamingSession for CombinedSession {
         let lanes = self.batch.lanes();
         let mut batch = detector.begin_batch();
         for _ in 0..lanes {
-            detector.add_lane(&mut batch);
-        }
-        if let Some((config, controllers)) = &mut self.adaptive {
-            *controllers = (0..lanes)
-                .map(|_| DynamicKController::new(detector.k(), *config))
-                .collect();
+            // Controllers restart at the new artifact's commissioned k.
+            detector.add_lane_with(&mut batch, self.policy);
         }
         self.batch = batch;
         self.detector = detector;
@@ -477,15 +425,8 @@ impl StreamingSession for CombinedSession {
             for &lane in chunk_lanes {
                 p.local.push(p.lanes.len());
                 p.lanes.push(lane);
+                // The whole lane moves: LSTM state and any controller.
                 p.batch.push_lane_state(self.batch.take_lane_state(lane));
-                if let Some((config, controllers)) = &mut self.adaptive {
-                    // Move the controller out too (placeholder is cheap:
-                    // a fresh controller allocates nothing until it
-                    // observes ranks).
-                    let placeholder = DynamicKController::new(self.detector.k(), *config);
-                    p.controllers
-                        .push(std::mem::replace(&mut controllers[lane], placeholder));
-                }
                 // PANIC: records.len() == lanes.len() was asserted above.
                 p.records.push(moved.next().expect("one record per lane"));
             }
@@ -504,11 +445,6 @@ impl StreamingSession for CombinedSession {
             );
             for (&lane, state) in p.lanes.iter().zip(p.batch.drain_lane_states()) {
                 self.batch.restore_lane_state(lane, state);
-            }
-            if let Some((_, controllers)) = &mut self.adaptive {
-                for (&lane, controller) in p.lanes.iter().zip(p.controllers.drain(..)) {
-                    controllers[lane] = controller;
-                }
             }
             // Partitions arrive in fork order and each one's decisions are
             // in its chunk order, so this extend reproduces the exact
@@ -536,61 +472,14 @@ impl StreamingDetector for CombinedDetector {
         "Combined (BF + LSTM)"
     }
 
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
-        Box::new(CombinedSession::new(self, None))
-    }
-
-    fn supports_hot_swap(&self) -> bool {
-        true
-    }
-}
-
-/// The combined framework with per-stream dynamic-`k` controllers: every
-/// lane carries its own [`DynamicKController`] seeded at the detector's
-/// commissioned `k`, and decisions follow
-/// [`CombinedDetector::classify_batch_adaptive`] — bit-identical to a
-/// per-record [`CombinedDetector::classify_adaptive`] loop on each stream.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCombined {
-    detector: Arc<CombinedDetector>,
-    config: DynamicKConfig,
-}
-
-impl AdaptiveCombined {
-    /// Wraps a trained detector with a dynamic-k configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is degenerate (same contract as
-    /// [`DynamicKController::new`]).
-    pub fn new(detector: Arc<CombinedDetector>, config: DynamicKConfig) -> Self {
-        // Validate the config eagerly (the controller constructor holds the
-        // invariants) instead of at first add_lane inside a shard thread.
-        let _ = DynamicKController::new(detector.k(), config);
-        AdaptiveCombined { detector, config }
-    }
-
-    /// The wrapped detector.
-    pub fn detector(&self) -> &Arc<CombinedDetector> {
-        &self.detector
-    }
-
-    /// The controller configuration applied to every lane.
-    pub fn config(&self) -> DynamicKConfig {
-        self.config
-    }
-}
-
-impl StreamingDetector for AdaptiveCombined {
-    fn name(&self) -> &str {
-        "Combined (BF + LSTM, dynamic k)"
-    }
-
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
-        Box::new(CombinedSession::new(
-            Arc::clone(&self.detector),
-            Some(self.config),
-        ))
+    fn begin_session(self: Arc<Self>, policy: KPolicy) -> Box<dyn StreamingSession> {
+        Box::new(CombinedSession {
+            batch: self.begin_batch(),
+            detector: self,
+            policy,
+            levels: Vec::new(),
+            spares: Vec::new(),
+        })
     }
 
     fn supports_hot_swap(&self) -> bool {
@@ -601,6 +490,7 @@ impl StreamingDetector for AdaptiveCombined {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic_k::DynamicKConfig;
     use crate::experiment::{train_framework, ExperimentConfig};
     use crate::timeseries::TimeSeriesTrainingConfig;
     use icsad_dataset::{DatasetConfig, GasPipelineDataset};
@@ -724,10 +614,10 @@ mod tests {
         let streams = round_robin(&records[..600], 7);
         let streams: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
 
-        let mut atomic = Arc::clone(&detector).begin_session();
+        let mut atomic = Arc::clone(&detector).begin_session(KPolicy::Fixed);
         let reference = drive(atomic.as_mut(), &streams);
         for parts in [2, 3, 5, 16] {
-            let mut forked = Arc::clone(&detector).begin_session();
+            let mut forked = Arc::clone(&detector).begin_session(KPolicy::Fixed);
             let split = drive_forked(forked.as_mut(), &streams, parts);
             assert_eq!(split, reference, "parts={parts}");
         }
@@ -738,16 +628,15 @@ mod tests {
         let (detector, records) = small_detector(58);
         let streams = round_robin(&records[..600], 6);
         let streams: Vec<&[Record]> = streams.iter().map(|s| s.as_slice()).collect();
-        let config = DynamicKConfig {
+        let policy = KPolicy::Dynamic(DynamicKConfig {
             window: 32,
             ..DynamicKConfig::default()
-        };
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
+        });
 
-        let mut atomic = Arc::clone(&backend).begin_session();
+        let mut atomic = Arc::clone(&detector).begin_session(policy);
         let reference = drive(atomic.as_mut(), &streams);
         for parts in [2, 3, 6] {
-            let mut forked = Arc::clone(&backend).begin_session();
+            let mut forked = Arc::clone(&detector).begin_session(policy);
             let split = drive_forked(forked.as_mut(), &streams, parts);
             assert_eq!(split, reference, "parts={parts}");
         }
@@ -756,7 +645,7 @@ mod tests {
     #[test]
     fn fork_declines_rounds_too_narrow_to_split() {
         let (detector, records) = small_detector(59);
-        let mut session = Arc::clone(&detector).begin_session();
+        let mut session = Arc::clone(&detector).begin_session(KPolicy::Fixed);
         let lane = session.add_lane();
         let mut round = vec![records[0].clone()];
         assert!(
@@ -784,7 +673,7 @@ mod tests {
         let first: Vec<&[Record]> = halves.iter().map(|(a, _)| a.as_slice()).collect();
         let second: Vec<&[Record]> = halves.iter().map(|(_, b)| b.as_slice()).collect();
 
-        let mut session = Arc::clone(&detector_a).begin_session();
+        let mut session = Arc::clone(&detector_a).begin_session(KPolicy::Fixed);
         let _ = drive_forked(session.as_mut(), &first, 3);
         session.swap_combined(Arc::clone(&detector_b)).unwrap();
         // Post-swap forks build fresh partitions against detector B (the
@@ -817,7 +706,7 @@ mod tests {
             }
         }
 
-        let mut cold = Arc::clone(&detector_b).begin_session();
+        let mut cold = Arc::clone(&detector_b).begin_session(KPolicy::Fixed);
         let reference = drive(cold.as_mut(), &second);
         assert_eq!(results, reference);
     }
@@ -828,7 +717,7 @@ mod tests {
         let half = records.len() / 2;
         let streams: Vec<&[Record]> = vec![&records[..half], &records[half..]];
 
-        let mut session = Arc::clone(&detector).begin_session();
+        let mut session = Arc::clone(&detector).begin_session(KPolicy::Fixed);
         let sessions = drive(session.as_mut(), &streams);
 
         for (stream, session_decisions) in streams.iter().zip(sessions.iter()) {
@@ -842,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_matches_per_record_classify_adaptive() {
+    fn dynamic_session_matches_per_record_dynamic_classify() {
         let (detector, records) = small_detector(52);
         let third = records.len() / 3;
         let streams: Vec<&[Record]> = vec![
@@ -850,26 +739,19 @@ mod tests {
             &records[third..2 * third + 5],
             &records[2 * third + 5..],
         ];
-        let config = DynamicKConfig {
+        let policy = KPolicy::Dynamic(DynamicKConfig {
             window: 64,
             ..DynamicKConfig::default()
-        };
+        });
 
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
-        assert!(backend.supports_hot_swap());
-        let mut session = backend.begin_session();
+        let mut session = Arc::clone(&detector).begin_session(policy);
         let sessions = drive(session.as_mut(), &streams);
 
         for (stream, session_decisions) in streams.iter().zip(sessions.iter()) {
-            let mut state = detector.begin();
-            let mut controller = DynamicKController::new(detector.k(), config);
+            let mut state = detector.begin_with(policy);
             let reference: Vec<bool> = stream
                 .iter()
-                .map(|r| {
-                    detector
-                        .classify_adaptive(&mut state, &mut controller, r)
-                        .is_anomalous()
-                })
+                .map(|r| detector.classify(&mut state, r).is_anomalous())
                 .collect();
             assert_eq!(session_decisions, &reference);
         }
@@ -884,7 +766,7 @@ mod tests {
     #[should_panic(expected = "repeated within one batch call")]
     fn duplicate_lanes_within_a_call_are_rejected_in_debug() {
         let (detector, records) = small_detector(55);
-        let mut session = detector.begin_session();
+        let mut session = detector.begin_session(KPolicy::Fixed);
         let lane = session.add_lane();
         let mut out = Vec::new();
         session.classify_batch(
@@ -899,7 +781,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_lane_is_rejected_in_debug() {
         let (detector, records) = small_detector(56);
-        let mut session = detector.begin_session();
+        let mut session = detector.begin_session(KPolicy::Fixed);
         let _ = session.add_lane();
         let mut out = Vec::new();
         session.classify_batch(&[3], std::slice::from_ref(&records[0]), &mut out);
@@ -912,7 +794,7 @@ mod tests {
 
         // Drive a stream to some warm state, retire its lane, then run a
         // different stream on the recycled slot.
-        let mut session = Arc::clone(&detector).begin_session();
+        let mut session = Arc::clone(&detector).begin_session(KPolicy::Fixed);
         let lane = session.add_lane();
         let mut out = Vec::new();
         for r in first {
@@ -939,13 +821,12 @@ mod tests {
     fn retired_adaptive_lane_reused_matches_cold_start() {
         let (detector, records) = small_detector(63);
         let (first, second) = records.split_at(records.len() / 2);
-        let config = DynamicKConfig {
+        let policy = KPolicy::Dynamic(DynamicKConfig {
             window: 32,
             ..DynamicKConfig::default()
-        };
-        let backend = Arc::new(AdaptiveCombined::new(Arc::clone(&detector), config));
+        });
 
-        let mut session = Arc::clone(&backend).begin_session();
+        let mut session = Arc::clone(&detector).begin_session(policy);
         let lane = session.add_lane();
         let mut out = Vec::new();
         for r in first {
@@ -959,15 +840,10 @@ mod tests {
         let recycled: Vec<bool> = out.iter().map(|d| d.anomalous).collect();
 
         // Cold reference: fresh state *and* fresh dynamic-k controller.
-        let mut state = detector.begin();
-        let mut controller = DynamicKController::new(detector.k(), config);
+        let mut state = detector.begin_with(policy);
         let reference: Vec<bool> = second
             .iter()
-            .map(|r| {
-                detector
-                    .classify_adaptive(&mut state, &mut controller, r)
-                    .is_anomalous()
-            })
+            .map(|r| detector.classify(&mut state, r).is_anomalous())
             .collect();
         assert_eq!(recycled, reference);
     }
@@ -978,7 +854,7 @@ mod tests {
         let (detector_b, _) = small_detector(54);
         let (first, second) = records.split_at(records.len() / 2);
 
-        let mut session = Arc::clone(&detector_a).begin_session();
+        let mut session = Arc::clone(&detector_a).begin_session(KPolicy::Fixed);
         let lane = session.add_lane();
         let mut out = Vec::new();
         for r in first {

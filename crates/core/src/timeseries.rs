@@ -1,6 +1,8 @@
 //! The time-series-level anomaly detector (paper §V): a stacked LSTM
 //! softmax classifier over package signatures with a top-`k` decision rule.
 
+use std::borrow::BorrowMut;
+
 use icsad_dataset::Fragments;
 use icsad_features::encoding::{mutate_noise, OneHotEncoder};
 use icsad_features::{DiscreteVector, Discretizer, SignatureVocabulary};
@@ -456,40 +458,21 @@ impl TimeSeriesDetector {
     /// `flag_noisy` forces the package's noise bit (used by the combined
     /// framework to feed back Bloom-level detections).
     ///
-    /// Returns `F_t` for this package: `true` = anomalous. The very first
-    /// package of a stream cannot be classified (no history) and returns
-    /// `false` unless its signature is unknown.
+    /// Returns `(F_t, rank)` for this package: `F_t` is `true` for
+    /// anomalous under the detector's `k`, and `rank` is the 1-based rank
+    /// of the signature in the rolling prediction (`None` for the first
+    /// package of a stream or an unknown signature — the dynamic-`k`
+    /// controller of [`crate::dynamic_k`] decides with it). The very first
+    /// package of a stream cannot be classified (no history) and is normal
+    /// unless its signature is unknown.
     pub fn process(
         &self,
         state: &mut TsState,
         vector: &DiscreteVector,
         signature_id: Option<usize>,
         flag_noisy: Option<bool>,
-    ) -> bool {
-        self.process_with_rank(state, vector, signature_id, flag_noisy)
-            .0
-    }
-
-    /// Like [`TimeSeriesDetector::process`], additionally returning the
-    /// 1-based rank of the package's signature in the rolling prediction
-    /// (`None` for the first package of a stream or an unknown signature).
-    /// The rank feeds the dynamic-`k` controller of
-    /// [`crate::dynamic_k`].
-    pub fn process_with_rank(
-        &self,
-        state: &mut TsState,
-        vector: &DiscreteVector,
-        signature_id: Option<usize>,
-        flag_noisy: Option<bool>,
     ) -> (bool, Option<usize>) {
-        let (anomalous, rank) = match (&state.prediction, signature_id) {
-            (_, None) => (true, None),
-            (None, Some(_)) => (false, None),
-            (Some(pred), Some(id)) => {
-                let rank = loss::rank_of(pred, id);
-                (rank > self.k, Some(rank))
-            }
-        };
+        let (anomalous, rank) = self.rank_decision(state, signature_id);
         // Feed the package back as input for the next prediction, with its
         // anomaly bit per §V-3 / §VI. Both the one-hot input and the rolling
         // prediction reuse state-owned buffers: the steady-state step is
@@ -509,6 +492,19 @@ impl TimeSeriesDetector {
         (anomalous, rank)
     }
 
+    /// The pre-step top-`k` decision and signature rank from `state`'s
+    /// rolling prediction — shared by the per-record and batched steps.
+    fn rank_decision(&self, state: &TsState, signature_id: Option<usize>) -> (bool, Option<usize>) {
+        match (&state.prediction, signature_id) {
+            (_, None) => (true, None),
+            (None, Some(_)) => (false, None),
+            (Some(pred), Some(id)) => {
+                let rank = loss::rank_of(pred, id);
+                (rank > self.k, Some(rank))
+            }
+        }
+    }
+
     /// Fresh (empty) scratch for [`TimeSeriesDetector::process_batch`].
     pub fn batch_scratch(&self) -> TsBatchScratch {
         TsBatchScratch {
@@ -523,54 +519,20 @@ impl TimeSeriesDetector {
     /// through the LSTM together as matrix–matrix products.
     ///
     /// Entry `i` of `vectors` / `signature_ids` / `flag_noisy` belongs to
-    /// stream `states[lanes[i]]`; lane indices must be distinct. Decisions
-    /// are appended to `out` (one `F_t` bool per entry, in order) and every
-    /// lane's state ends up bit-identical to processing it alone with
-    /// [`TimeSeriesDetector::process`].
+    /// stream `states[lanes[i]]` (any lane type that owns a [`TsState`]);
+    /// lane indices must be distinct. One `F_t` bool per entry is appended
+    /// to `out` and its rank to `ranks`, in entry order — exactly what
+    /// [`TimeSeriesDetector::process`] returns per record — and every
+    /// lane's state ends up bit-identical to processing it alone.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths disagree or a lane index is out of
     /// bounds.
     #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
-    pub fn process_batch(
+    pub fn process_batch<S: BorrowMut<TsState>>(
         &self,
-        states: &mut [TsState],
-        lanes: &[usize],
-        vectors: &[DiscreteVector],
-        signature_ids: &[Option<usize>],
-        flag_noisy: &[Option<bool>],
-        scratch: &mut TsBatchScratch,
-        out: &mut Vec<bool>,
-    ) {
-        self.process_batch_inner(
-            states,
-            lanes,
-            vectors,
-            signature_ids,
-            flag_noisy,
-            scratch,
-            out,
-            None,
-        );
-    }
-
-    /// [`TimeSeriesDetector::process_batch`] that additionally appends the
-    /// pre-step 1-based rank of each entry's signature in its lane's
-    /// rolling prediction to `ranks` (`None` for a stream's first package
-    /// or an unknown signature) — exactly the rank
-    /// [`TimeSeriesDetector::process_with_rank`] returns per record. The
-    /// rank is computed once and shared with the fixed-`k` decision, so
-    /// dynamic-`k` callers ([`crate::combined::CombinedDetector::classify_batch_adaptive`])
-    /// pay nothing extra on the hot path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`TimeSeriesDetector::process_batch`].
-    #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
-    pub fn process_batch_with_ranks(
-        &self,
-        states: &mut [TsState],
+        states: &mut [S],
         lanes: &[usize],
         vectors: &[DiscreteVector],
         signature_ids: &[Option<usize>],
@@ -578,30 +540,6 @@ impl TimeSeriesDetector {
         scratch: &mut TsBatchScratch,
         out: &mut Vec<bool>,
         ranks: &mut Vec<Option<usize>>,
-    ) {
-        self.process_batch_inner(
-            states,
-            lanes,
-            vectors,
-            signature_ids,
-            flag_noisy,
-            scratch,
-            out,
-            Some(ranks),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // one parallel slice per per-lane input
-    fn process_batch_inner(
-        &self,
-        states: &mut [TsState],
-        lanes: &[usize],
-        vectors: &[DiscreteVector],
-        signature_ids: &[Option<usize>],
-        flag_noisy: &[Option<bool>],
-        scratch: &mut TsBatchScratch,
-        out: &mut Vec<bool>,
-        mut ranks: Option<&mut Vec<Option<usize>>>,
     ) {
         let batch = lanes.len();
         assert_eq!(vectors.len(), batch, "vectors/lanes mismatch");
@@ -613,16 +551,14 @@ impl TimeSeriesDetector {
         if batch == 1 {
             // A one-lane batch gains nothing from the gemm path (and pays
             // its packing); the streaming step is the same computation.
-            let (anomalous, rank) = self.process_with_rank(
-                &mut states[lanes[0]],
+            let (anomalous, rank) = self.process(
+                states[lanes[0]].borrow_mut(),
                 &vectors[0],
                 signature_ids[0],
                 flag_noisy[0],
             );
             out.push(anomalous);
-            if let Some(ranks) = ranks {
-                ranks.push(rank);
-            }
+            ranks.push(rank);
             return;
         }
         let dims = self.encoder.dims();
@@ -636,21 +572,12 @@ impl TimeSeriesDetector {
         self.model.reserve_lanes(&mut scratch.nn, batch);
 
         // Per-lane decision from the rolling prediction, then the batched
-        // feedback step (decision order mirrors `process_with_rank`).
+        // feedback step (decision order mirrors `process`).
         for i in 0..batch {
-            let state = &states[lanes[i]];
-            let (anomalous, rank) = match (&state.prediction, signature_ids[i]) {
-                (_, None) => (true, None),
-                (None, Some(_)) => (false, None),
-                (Some(pred), Some(id)) => {
-                    let rank = loss::rank_of(pred, id);
-                    (rank > self.k, Some(rank))
-                }
-            };
+            let state: &TsState = states[lanes[i]].borrow();
+            let (anomalous, rank) = self.rank_decision(state, signature_ids[i]);
             out.push(anomalous);
-            if let Some(ranks) = ranks.as_deref_mut() {
-                ranks.push(rank);
-            }
+            ranks.push(rank);
             let noisy = flag_noisy[i].unwrap_or(anomalous);
             self.encoder.encode_into(
                 &vectors[i],
@@ -668,7 +595,7 @@ impl TimeSeriesDetector {
         );
 
         for (i, &lane) in lanes.iter().enumerate() {
-            let state = &mut states[lane];
+            let state: &mut TsState = states[lane].borrow_mut();
             self.model.scatter_lane(&scratch.nn, i, &mut state.stream);
             let row = &scratch.probs[i * nc..(i + 1) * nc];
             match &mut state.prediction {
@@ -785,7 +712,7 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         // Unknown signature: always anomalous.
-        assert!(det.process(&mut state, &v, None, None));
+        assert!(det.process(&mut state, &v, None, None).0);
         // Known signature right after: depends on prediction, but must not
         // panic and must update state.
         let id = vocab.id_of(&disc.signature(r));
@@ -802,7 +729,7 @@ mod tests {
         let r = &split.train().records()[0];
         let v = disc.discretize(r);
         let id = vocab.id_of(&disc.signature(r));
-        assert!(!det.process(&mut state, &v, id, None));
+        assert_eq!(det.process(&mut state, &v, id, None), (false, None));
     }
 
     #[test]

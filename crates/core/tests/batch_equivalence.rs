@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use icsad_core::combined::{CombinedDetector, DetectionLevel};
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
-use icsad_core::{DynamicKConfig, DynamicKController};
+use icsad_core::{DynamicKConfig, KPolicy};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
 use proptest::prelude::*;
 
@@ -83,12 +83,12 @@ proptest! {
         }
     }
 
-    /// `classify_batch_adaptive` over interleaved multi-PLC lanes (uneven
-    /// lengths, so later rounds carry fewer lanes) equals a per-record
-    /// `classify_adaptive` loop with one controller per stream — decisions
-    /// *and* each controller's final k.
+    /// `classify_batch` over interleaved multi-PLC lanes under a dynamic-`k`
+    /// policy (uneven lengths, so later rounds carry fewer lanes) equals a
+    /// per-record `classify` loop on a dynamic lane per stream — decisions
+    /// *and* each lane controller's final k and window fill.
     #[test]
-    fn classify_batch_adaptive_equals_per_record_adaptive_loop(
+    fn classify_batch_dynamic_k_equals_per_record_dynamic_loop(
         num_streams in 1usize..6,
         offset in 0usize..400,
         len in 10usize..600,
@@ -100,12 +100,12 @@ proptest! {
         let records = &fx.test_records;
         let end = (offset + len).min(records.len());
         let window_slice = &records[offset.min(end)..end];
-        let config = DynamicKConfig {
+        let policy = KPolicy::Dynamic(DynamicKConfig {
             min_k: 1,
             max_k,
             window,
             theta: 0.05,
-        };
+        });
 
         // Deal round-robin with a salted start, then truncate streams to
         // different lengths so lanes drop out of later batches.
@@ -118,12 +118,10 @@ proptest! {
             stream.truncate(keep);
         }
 
-        // Batched: one controller per lane, lockstep rounds.
+        // Batched: one dynamic lane per stream, lockstep rounds.
         let mut batch = fx.detector.begin_batch();
-        let mut controllers: Vec<DynamicKController> = Vec::new();
         for _ in 0..num_streams {
-            fx.detector.add_lane(&mut batch);
-            controllers.push(DynamicKController::new(fx.detector.k(), config));
+            fx.detector.add_lane_with(&mut batch, policy);
         }
         let mut batched: Vec<Vec<DetectionLevel>> = vec![Vec::new(); num_streams];
         let max_len = streams.iter().map(|s| s.len()).max().unwrap_or(0);
@@ -140,24 +138,24 @@ proptest! {
                     round.push(r.clone());
                 }
             }
-            fx.detector
-                .classify_batch_adaptive(&mut batch, &lanes, &round, &mut controllers, &mut out);
+            fx.detector.classify_batch(&mut batch, &lanes, &round, &mut out);
             for (&lane, &level) in lanes.iter().zip(out.iter()) {
                 batched[lane].push(level);
             }
         }
 
-        // Reference: independent per-record adaptive loops.
+        // Reference: independent per-record loops on dynamic lanes.
         for (lane, stream) in streams.iter().enumerate() {
-            let mut state = fx.detector.begin();
-            let mut controller = DynamicKController::new(fx.detector.k(), config);
+            let mut state = fx.detector.begin_with(policy);
             let reference: Vec<DetectionLevel> = stream
                 .iter()
-                .map(|r| fx.detector.classify_adaptive(&mut state, &mut controller, r))
+                .map(|r| fx.detector.classify(&mut state, r))
                 .collect();
             prop_assert_eq!(&batched[lane], &reference);
-            prop_assert_eq!(controllers[lane].k(), controller.k());
-            prop_assert_eq!(controllers[lane].observations(), controller.observations());
+            let batched_k = batch.lane(lane).controller().unwrap();
+            let reference_k = state.controller().unwrap();
+            prop_assert_eq!(batched_k.k(), reference_k.k());
+            prop_assert_eq!(batched_k.observations(), reference_k.observations());
         }
     }
 }

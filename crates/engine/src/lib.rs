@@ -27,15 +27,14 @@
 //!                     EngineReport (merged per-shard reports)
 //! ```
 //!
-//! Three backend families plug into the shard loop:
+//! Two backend families plug into the shard loop:
 //!
 //! | backend | entry point | decision rule |
 //! |---|---|---|
-//! | combined framework | [`Engine::start`] ([`EngineMode::FixedK`]) | fixed top-`k` |
-//! | combined + dynamic-`k` | [`Engine::start`] ([`EngineMode::AdaptiveK`]) | per-stream [`DynamicKController`](icsad_core::DynamicKController) |
-//! | Table IV window baselines | [`Engine::start_backend`] + `icsad_baselines::WindowedBackend` | §VIII-C window protocol |
+//! | combined framework | [`Engine::start`] | top-`k` per [`EngineConfig::k_policy`]: the commissioned fixed `k` ([`KPolicy::Fixed`], default) or a per-stream [`DynamicKController`](icsad_core::DynamicKController) ([`KPolicy::Dynamic`]) |
+//! | Table IV window baselines | [`Engine::start_backend`] + `icsad_baselines::WindowedBackend` | §VIII-C window protocol (ignores `k_policy`) |
 //!
-//! The combined backends can come from an in-process training run
+//! The combined backend can come from an in-process training run
 //! ([`Engine::start`]) or from a commissioning artifact saved by
 //! [`icsad_core::CombinedDetector::save`]
 //! ([`Engine::start_from_artifact`]) — the train-offline / monitor-online
@@ -47,10 +46,11 @@
 //!
 //! Decisions are identical to running every stream through the backend's
 //! offline path one package at a time — for the combined framework, a
-//! per-record [`icsad_core::CombinedDetector::classify`] (or
-//! `classify_adaptive`) loop; for the baselines, the offline
-//! `windowed_decisions` protocol. The batching and sharding are throughput
-//! optimizations, not semantic changes.
+//! per-record [`icsad_core::CombinedDetector::classify`] loop on a lane
+//! opened under the same policy
+//! ([`icsad_core::CombinedDetector::begin_with`]); for the baselines, the
+//! offline `windowed_decisions` protocol. The batching and sharding are
+//! throughput optimizations, not semantic changes.
 //!
 //! # Ingest runtimes
 //!
@@ -76,9 +76,9 @@ use std::sync::Arc;
 
 use icsad_core::artifact::ArtifactError;
 use icsad_core::combined::CombinedDetector;
-use icsad_core::dynamic_k::DynamicKConfig;
+use icsad_core::dynamic_k::{DynamicKConfigError, KPolicy};
 use icsad_core::metrics::ClassificationReport;
-use icsad_core::streaming::{AdaptiveCombined, StreamingDetector};
+use icsad_core::streaming::StreamingDetector;
 use icsad_dataset::extract::DEFAULT_CRC_WINDOW;
 use icsad_runtime::{
     Executor, IngestQueue, RecycleRing, RoundBoard, RoundStats, Schedule, TryPushError,
@@ -166,21 +166,6 @@ impl From<Packet> for RawFrame {
     }
 }
 
-/// How a combined-framework engine applies the top-`k` rule
-/// (see [`EngineConfig::mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum EngineMode {
-    /// The commissioned fixed `k` of the artifact
-    /// ([`icsad_core::CombinedDetector::classify_batch`]).
-    #[default]
-    FixedK,
-    /// Per-stream dynamic-`k` controllers seeded at the commissioned `k`
-    /// (paper §VIII-D future work;
-    /// [`icsad_core::CombinedDetector::classify_batch_adaptive`]). Each
-    /// stream lane adapts its own `k` to its recent prediction ranks.
-    AdaptiveK(DynamicKConfig),
-}
-
 /// How the work-stealing pool that drives the shards is scheduled (see
 /// [`EngineConfig::ingest`]).
 ///
@@ -244,6 +229,10 @@ pub enum EngineConfigError {
     /// idle-lane eviction, not `Some(0)` — a zero bound would evict every
     /// lane on every frame).
     ZeroLaneIdleFrames,
+    /// A [`KPolicy::Dynamic`] [`EngineConfig::k_policy`] whose controller
+    /// config is degenerate (see
+    /// [`DynamicKConfig::validate`](icsad_core::DynamicKConfig::validate)).
+    InvalidKPolicy(DynamicKConfigError),
 }
 
 impl std::fmt::Display for EngineConfigError {
@@ -273,6 +262,7 @@ impl std::fmt::Display for EngineConfigError {
                     "lane_idle_frames must be positive (None disables idle eviction)"
                 )
             }
+            EngineConfigError::InvalidKPolicy(e) => write!(f, "k_policy: {e}"),
         }
     }
 }
@@ -302,11 +292,12 @@ pub struct EngineConfig {
     pub channel_capacity: usize,
     /// CRC sliding-window width for feature extraction (per stream).
     pub crc_window: usize,
-    /// Top-`k` mode for the combined backends started through
-    /// [`Engine::start`] / [`Engine::start_from_artifact`]. Ignored by
-    /// [`Engine::start_backend`], whose backend already fixes its own
-    /// decision rule.
-    pub mode: EngineMode,
+    /// Which `k` the combined framework's top-`k` rule uses on every
+    /// stream lane: the commissioned fixed `k` ([`KPolicy::Fixed`], the
+    /// default) or a per-stream dynamic-`k` controller seeded at it
+    /// ([`KPolicy::Dynamic`], paper §VIII-D future work). Backends without
+    /// a top-`k` rule (the window baselines) ignore it.
+    pub k_policy: KPolicy,
     /// How the shard pool is sized and scheduled; purely a
     /// throughput/footprint knob, never a decision change.
     pub ingest: IngestMode,
@@ -352,7 +343,7 @@ impl Default for EngineConfig {
             batch_size: 64,
             channel_capacity: 1024,
             crc_window: DEFAULT_CRC_WINDOW,
-            mode: EngineMode::FixedK,
+            k_policy: KPolicy::Fixed,
             ingest: IngestMode::default(),
             // Wide enough that narrow rounds never pay fork overhead, low
             // enough that a genuinely hot shard (hundreds of active lanes)
@@ -395,6 +386,11 @@ impl EngineConfig {
         }
         if self.lane_idle_frames == Some(0) {
             return Err(EngineConfigError::ZeroLaneIdleFrames);
+        }
+        if let KPolicy::Dynamic(k_config) = self.k_policy {
+            k_config
+                .validate()
+                .map_err(EngineConfigError::InvalidKPolicy)?;
         }
         Ok(())
     }
@@ -618,19 +614,22 @@ impl IngestDriver {
 
 /// The running engine: a router handle over the shard workers.
 ///
-/// Create with [`Engine::start`] (combined framework, fixed or adaptive
-/// `k`), [`Engine::start_from_artifact`] (the same, cold-started from a
-/// commissioning file) or [`Engine::start_backend`] (any
-/// [`StreamingDetector`], e.g. a Table IV window baseline). Feed frames
-/// with [`Engine::ingest`] (or [`Engine::ingest_packets`] from the
-/// simulator), optionally hot-reload with [`Engine::swap_artifact`], then
-/// call [`Engine::finish`] to drain the pipelines and collect the report.
+/// Create with [`Engine::start`] (combined framework, fixed or dynamic
+/// `k` per [`EngineConfig::k_policy`]), [`Engine::start_from_artifact`]
+/// (the same, cold-started from a commissioning file) or
+/// [`Engine::start_backend`] (any [`StreamingDetector`], e.g. a Table IV
+/// window baseline). Feed frames with [`Engine::ingest`] (or
+/// [`Engine::ingest_packets`] from the simulator), optionally hot-reload
+/// with [`Engine::swap_artifact`], then call [`Engine::finish`] to drain
+/// the pipelines and collect the report.
 ///
 /// Dropping an engine without calling [`Engine::finish`] still tears the
 /// runtime down cleanly: ingest closes and every worker is joined (their
 /// reports, and any panic payloads, are discarded).
 pub struct Engine {
     backend: Arc<dyn StreamingDetector>,
+    /// The policy every shard session was opened under (names the backend).
+    k_policy: KPolicy,
     kernel_backend: &'static str,
     /// `Some` until [`Engine::finish`] consumes it (`Option` only so the
     /// `Drop` impl can also tear it down).
@@ -656,14 +655,14 @@ const INGEST_CHUNK: usize = 64;
 
 impl Engine {
     /// Spawns the shard workers around the combined framework and returns
-    /// the ingest handle. [`EngineConfig::mode`] selects the top-`k` rule:
-    /// the commissioned fixed `k`, or per-stream dynamic-`k` controllers.
+    /// the ingest handle. [`EngineConfig::k_policy`] selects the top-`k`
+    /// rule: the commissioned fixed `k`, or per-stream dynamic-`k`
+    /// controllers.
     ///
     /// # Panics
     ///
     /// Panics if the config fails [`EngineConfig::validate`] (use
-    /// [`Engine::try_start`] for a typed error) or if an
-    /// [`EngineMode::AdaptiveK`] config is degenerate.
+    /// [`Engine::try_start`] for a typed error).
     pub fn start(detector: Arc<CombinedDetector>, config: EngineConfig) -> Engine {
         // PANIC: documented contract of `start` — the typed alternative is
         // `try_start`; nothing has been spawned when this fires.
@@ -677,20 +676,15 @@ impl Engine {
         detector: Arc<CombinedDetector>,
         config: EngineConfig,
     ) -> Result<Engine, EngineConfigError> {
-        let backend: Arc<dyn StreamingDetector> = match config.mode {
-            EngineMode::FixedK => detector,
-            EngineMode::AdaptiveK(k_config) => Arc::new(AdaptiveCombined::new(detector, k_config)),
-        };
-        Engine::try_start_backend(backend, config)
+        Engine::try_start_backend(detector, config)
     }
 
     /// Spawns the shard workers around an arbitrary streaming backend —
-    /// the combined framework, its dynamic-`k` wrapper, or one of the six
-    /// Table IV window baselines (`icsad_baselines::WindowedBackend`) for
-    /// apples-to-apples streaming comparisons.
-    ///
-    /// [`EngineConfig::mode`] is ignored here: the backend itself fixes
-    /// the decision rule.
+    /// the combined framework or one of the six Table IV window baselines
+    /// (`icsad_baselines::WindowedBackend`) for apples-to-apples streaming
+    /// comparisons. Every shard session opens under
+    /// [`EngineConfig::k_policy`], which backends without a top-`k` rule
+    /// ignore.
     ///
     /// # Panics
     ///
@@ -762,7 +756,7 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(shard, queue)| {
-                let session = Arc::clone(&backend).begin_session();
+                let session = Arc::clone(&backend).begin_session(config.k_policy);
                 ShardTask::new(
                     ShardCore::new(
                         session,
@@ -785,6 +779,7 @@ impl Engine {
         };
         Ok(Engine {
             backend,
+            k_policy: config.k_policy,
             kernel_backend,
             buffers: vec![Vec::with_capacity(INGEST_CHUNK); num_shards],
             recycle,
@@ -802,7 +797,7 @@ impl Engine {
     /// [`CombinedDetector`] saved by [`CombinedDetector::save`] and spawns
     /// the shard workers around it — the train-offline / monitor-online
     /// split the paper's deployment model assumes.
-    /// [`EngineConfig::mode`] applies exactly as in [`Engine::start`].
+    /// [`EngineConfig::k_policy`] applies exactly as in [`Engine::start`].
     ///
     /// # Errors
     ///
@@ -985,9 +980,18 @@ impl Engine {
         }
     }
 
-    /// Display name of the running backend.
+    /// Display name of the running backend, e.g.
+    /// `"Combined (BF + LSTM), dynamic k"` under [`KPolicy::Dynamic`].
     pub fn backend_name(&self) -> String {
-        self.backend.name().to_string()
+        let name = self.backend.name();
+        // Exactly the backends that host the combined framework (the
+        // hot-swappable ones) apply the k policy; baselines ignore it.
+        match self.k_policy {
+            KPolicy::Dynamic(_) if self.backend.supports_hot_swap() => {
+                format!("{name}, dynamic k")
+            }
+            _ => name.to_string(),
+        }
     }
 
     /// The SIMD kernel backend the engine's numeric hot path runs on
@@ -1278,7 +1282,7 @@ mod tests {
     };
     use icsad_core::experiment::{train_framework, ExperimentConfig};
     use icsad_core::timeseries::TimeSeriesTrainingConfig;
-    use icsad_core::{DynamicKConfig, DynamicKController};
+    use icsad_core::DynamicKConfig;
     use icsad_dataset::extract::extract_records;
     use icsad_dataset::Record;
     use icsad_dataset::{DatasetConfig, GasPipelineDataset};
@@ -1390,24 +1394,23 @@ mod tests {
     }
 
     /// Engine-level dynamic-k: decisions must be bit-identical to a
-    /// per-record `classify_adaptive` loop with one controller per stream.
+    /// per-record `classify` loop on one dynamic lane per stream.
     #[test]
     fn adaptive_engine_matches_per_record_adaptive_reference() {
         let detector = small_detector(41);
         let packets = multi_plc_capture(&[2, 5, 9], 600, 41);
-        let k_config = DynamicKConfig {
+        let k_policy = KPolicy::Dynamic(DynamicKConfig {
             window: 64,
             ..DynamicKConfig::default()
-        };
+        });
 
         let mut reference = ClassificationReport::default();
         let mut reference_alarms = 0u64;
         for stream_packets in by_unit(&packets).values() {
             let records = extract_records(stream_packets, DEFAULT_CRC_WINDOW);
-            let mut state = detector.begin();
-            let mut controller = DynamicKController::new(detector.k(), k_config);
+            let mut state = detector.begin_with(k_policy);
             for r in &records {
-                let level = detector.classify_adaptive(&mut state, &mut controller, r);
+                let level = detector.classify(&mut state, r);
                 if level.is_anomalous() {
                     reference_alarms += 1;
                 }
@@ -1422,7 +1425,7 @@ mod tests {
                     num_shards: shards,
                     batch_size: batch,
                     channel_capacity: 64,
-                    mode: EngineMode::AdaptiveK(k_config),
+                    k_policy,
                     ..EngineConfig::default()
                 },
             );
@@ -1489,22 +1492,22 @@ mod tests {
             window: 32,
             theta: 0.05,
         };
-        let run = |mode: EngineMode| {
+        let run = |k_policy: KPolicy| {
             let mut engine = Engine::start(
                 Arc::clone(&detector),
                 EngineConfig {
                     num_shards: 1,
                     batch_size: 8,
                     channel_capacity: 64,
-                    mode,
+                    k_policy,
                     ..EngineConfig::default()
                 },
             );
             engine.ingest_packets(&packets);
             engine.finish()
         };
-        let fixed = run(EngineMode::FixedK);
-        let adaptive = run(EngineMode::AdaptiveK(k_config));
+        let fixed = run(KPolicy::Fixed);
+        let adaptive = run(KPolicy::Dynamic(k_config));
         assert_eq!(fixed.frames(), adaptive.frames());
         assert_ne!(
             fixed.total, adaptive.total,
@@ -1807,7 +1810,7 @@ mod tests {
             num_shards: 2,
             batch_size: 8,
             channel_capacity: 64,
-            mode: EngineMode::AdaptiveK(k_config),
+            k_policy: KPolicy::Dynamic(k_config),
             ..EngineConfig::default()
         };
         let path_b = std::env::temp_dir().join(format!(

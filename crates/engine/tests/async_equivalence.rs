@@ -20,6 +20,7 @@ use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::metrics::ClassificationReport;
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
+use icsad_core::{DynamicKConfig, KPolicy};
 use icsad_dataset::extract::{extract_records, DEFAULT_CRC_WINDOW};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 use icsad_engine::{Engine, EngineConfig, EngineReport, IngestMode, TestSchedule};
@@ -57,8 +58,9 @@ struct Fixture {
     artifact_b: PathBuf,
     capture: Vec<Packet>,
     /// Per-record references keyed by swap frame index (`capture.len()`
-    /// means "no swap"): computed lazily, shared across proptest cases.
-    references: Mutex<HashMap<usize, Reference>>,
+    /// means "no swap") and whether the policy is [`DYNAMIC`]: computed
+    /// lazily, shared across proptest cases.
+    references: Mutex<HashMap<(usize, bool), Reference>>,
 }
 
 #[derive(Clone)]
@@ -98,10 +100,24 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The dynamic-k policy the split property draws next to the fixed one: a
+/// short window, so every stream's controller re-estimates k within this
+/// capture.
+const DYNAMIC: KPolicy = KPolicy::Dynamic(DynamicKConfig {
+    min_k: 1,
+    max_k: 10,
+    window: 32,
+    theta: 0.05,
+});
+
 /// Per-record reference over one capture slice: partition by unit id (the
 /// router's stream key for link-0 traffic), extract per stream, classify
-/// each stream one record at a time.
-fn per_record_reference(detector: &CombinedDetector, packets: &[Packet]) -> Reference {
+/// each stream one record at a time on a lane opened under `policy`.
+fn per_record_reference(
+    detector: &CombinedDetector,
+    packets: &[Packet],
+    policy: KPolicy,
+) -> Reference {
     let mut by_unit: HashMap<u8, Vec<Packet>> = HashMap::new();
     for p in packets {
         by_unit
@@ -113,7 +129,7 @@ fn per_record_reference(detector: &CombinedDetector, packets: &[Packet]) -> Refe
     let mut alarms = 0u64;
     for stream in by_unit.values() {
         let records = extract_records(stream, DEFAULT_CRC_WINDOW);
-        let mut state = detector.begin();
+        let mut state = detector.begin_with(policy);
         for r in &records {
             let anomalous = detector.classify(&mut state, r).is_anomalous();
             if anomalous {
@@ -125,18 +141,21 @@ fn per_record_reference(detector: &CombinedDetector, packets: &[Packet]) -> Refe
     Reference { total, alarms }
 }
 
-/// The reference for "A up to `swap_at`, then B cold-started" — cached per
-/// swap point, since proptest revisits the same few boundaries many times.
-fn reference_at(fx: &Fixture, swap_at: usize) -> Reference {
+/// The reference for "A up to `swap_at`, then B cold-started" (lanes and
+/// their controllers alike) under `policy` — [`KPolicy::Fixed`] or
+/// [`DYNAMIC`] — cached per swap point, since proptest revisits the same
+/// few boundaries many times.
+fn reference_at(fx: &Fixture, swap_at: usize, policy: KPolicy) -> Reference {
+    assert!(policy == KPolicy::Fixed || policy == DYNAMIC);
     let mut cache = fx.references.lock().unwrap();
     cache
-        .entry(swap_at)
+        .entry((swap_at, policy == DYNAMIC))
         .or_insert_with(|| {
             if swap_at >= fx.capture.len() {
-                per_record_reference(&fx.detector_a, &fx.capture)
+                per_record_reference(&fx.detector_a, &fx.capture, policy)
             } else {
-                let pre = per_record_reference(&fx.detector_a, &fx.capture[..swap_at]);
-                let post = per_record_reference(&fx.detector_b, &fx.capture[swap_at..]);
+                let pre = per_record_reference(&fx.detector_a, &fx.capture[..swap_at], policy);
+                let post = per_record_reference(&fx.detector_b, &fx.capture[swap_at..], policy);
                 let mut total = pre.total.clone();
                 total.merge(&post.total);
                 Reference {
@@ -188,7 +207,7 @@ proptest! {
         // swap_quarter 4 = no swap; 0..=3 swap after that quarter of the
         // capture (0 = swap before any frame: everything classified by B).
         let swap_at = if swap_quarter == 4 { None } else { Some(swap_quarter * n / 4) };
-        let reference = reference_at(fx, swap_at.unwrap_or(n));
+        let reference = reference_at(fx, swap_at.unwrap_or(n), KPolicy::Fixed);
 
         let base = EngineConfig {
             num_shards: shards,
@@ -222,8 +241,8 @@ proptest! {
 fn real_pool_schedules_are_decision_identical() {
     let fx = fixture();
     let n = fx.capture.len();
-    let reference = reference_at(fx, n);
-    let swap_reference = reference_at(fx, n / 2);
+    let reference = reference_at(fx, n, KPolicy::Fixed);
+    let swap_reference = reference_at(fx, n / 2, KPolicy::Fixed);
     for workers in [1usize, 2, 4] {
         for trial in 0..3 {
             let config = EngineConfig {
@@ -256,22 +275,26 @@ fn real_pool_schedules_are_decision_identical() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// Round splitting is invisible to decisions: for any seeded schedule
-    /// and swap boundary, `split_threshold` ∈ {1, 8, ∞} × virtual workers
-    /// ∈ {1, 2, 5} all match the per-record reference bit-for-bit — while
-    /// the runtime counters prove the split path actually ran where it
-    /// should. One shard hosts all three streams, so rounds are as wide
+    /// Round splitting is invisible to decisions: for any seeded schedule,
+    /// swap boundary and top-k policy (fixed, or per-stream dynamic k whose
+    /// controllers travel with their forked lanes), `split_threshold` ∈
+    /// {1, 8, ∞} × virtual workers ∈ {1, 2, 5} all match the per-record
+    /// reference bit-for-bit — while the runtime counters prove the split
+    /// path actually ran where it should. One shard hosts all three streams, so rounds are as wide
     /// as this capture gets and a threshold of 1 forces forking.
     #[test]
     fn split_threshold_never_changes_decisions(
         seed in any::<u64>(),
         max_budget in 1usize..7,
         swap_quarter in 0usize..5,
+        dynamic in any::<bool>(),
     ) {
         let fx = fixture();
         let n = fx.capture.len();
         let swap_at = if swap_quarter == 4 { None } else { Some(swap_quarter * n / 4) };
-        let reference = reference_at(fx, swap_at.unwrap_or(n));
+        // Forked partitions carry whole lanes, controllers included.
+        let k_policy = if dynamic { DYNAMIC } else { KPolicy::Fixed };
+        let reference = reference_at(fx, swap_at.unwrap_or(n), k_policy);
 
         for workers in [1usize, 2, 5] {
             for split_threshold in [1usize, 8, usize::MAX] {
@@ -281,9 +304,12 @@ proptest! {
                     channel_capacity: 64,
                     split_threshold,
                     ingest: IngestMode::AsyncDeterministic(TestSchedule { seed, workers, max_budget }),
+                    k_policy,
                     ..EngineConfig::default()
                 };
-                let context = format!("workers={workers} split_threshold={split_threshold}");
+                let context = format!(
+                    "workers={workers} split_threshold={split_threshold} {k_policy:?}"
+                );
                 let report = run_engine(fx, config, swap_at);
                 check(&report, &reference, n, &context);
 
@@ -321,8 +347,8 @@ proptest! {
 fn real_pool_split_rounds_are_decision_identical() {
     let fx = fixture();
     let n = fx.capture.len();
-    let reference = reference_at(fx, n);
-    let swap_reference = reference_at(fx, n / 2);
+    let reference = reference_at(fx, n, KPolicy::Fixed);
+    let swap_reference = reference_at(fx, n / 2, KPolicy::Fixed);
     for trial in 0..3 {
         let config = EngineConfig {
             num_shards: 1,
@@ -358,7 +384,8 @@ fn default_config_runs_on_the_host_sized_pool() {
     let config = EngineConfig::default();
     let num_shards = config.num_shards;
     let report = run_engine(fx, config, None);
-    check(&report, &reference_at(fx, n), n, "default config");
+    let reference = reference_at(fx, n, KPolicy::Fixed);
+    check(&report, &reference, n, "default config");
     assert_eq!(report.runtime.mode, "async");
     assert!(report.runtime.ingest_threads >= 1);
     assert!(report.runtime.ingest_threads <= num_shards);
@@ -388,7 +415,7 @@ fn engine_matches_classify_streams_lockstep() {
             lockstep.record(r.label, level.is_anomalous());
         }
     }
-    let reference = reference_at(fx, fx.capture.len());
+    let reference = reference_at(fx, fx.capture.len(), KPolicy::Fixed);
     assert_eq!(lockstep, reference.total);
 
     let report = run_engine(

@@ -7,8 +7,11 @@
 use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
+use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
-use icsad_dataset::Record;
+use icsad_core::timeseries::TimeSeriesTrainingConfig;
+use icsad_core::{DynamicKConfig, DynamicKConfigError, KPolicy};
+use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
 use icsad_engine::{Engine, EngineConfig, EngineConfigError, IngestMode, TestSchedule};
 
 /// A backend stub: config validation must reject before ever touching it.
@@ -21,7 +24,7 @@ impl StreamingDetector for StubBackend {
         "stub"
     }
 
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
+    fn begin_session(self: Arc<Self>, _policy: KPolicy) -> Box<dyn StreamingSession> {
         Box::new(StubSession(0))
     }
 }
@@ -170,6 +173,10 @@ fn errors_name_the_offending_field() {
         (EngineConfigError::ZeroLaneIdleFrames, "lane_idle_frames"),
         (EngineConfigError::ZeroScheduleWorkers, "worker"),
         (EngineConfigError::ZeroScheduleBudget, "budget"),
+        (
+            EngineConfigError::InvalidKPolicy(DynamicKConfigError::ThetaOutOfRange),
+            "k_policy: theta",
+        ),
     ] {
         let rendered = error.to_string();
         assert!(
@@ -191,4 +198,92 @@ fn start_backend_panics_on_invalid_config() {
             ..base()
         },
     );
+}
+
+/// The smallest trainable combined detector: `try_start` needs a real one.
+fn tiny_detector() -> Arc<CombinedDetector> {
+    let data = GasPipelineDataset::generate(&DatasetConfig {
+        total_packages: 2_000,
+        seed: 12,
+        attack_probability: 0.0,
+        ..DatasetConfig::default()
+    });
+    let split = data.split_chronological(0.6, 0.2);
+    let trained = train_framework(
+        &split,
+        &ExperimentConfig {
+            timeseries: TimeSeriesTrainingConfig {
+                hidden_dims: vec![8],
+                epochs: 1,
+                seed: 12,
+                ..TimeSeriesTrainingConfig::default()
+            },
+            ..ExperimentConfig::default()
+        },
+    )
+    .unwrap();
+    Arc::new(trained.detector)
+}
+
+/// A degenerate dynamic-k policy is rejected by `validate` with a typed
+/// error, and `try_start` returns that error instead of panicking while
+/// it builds the per-lane controllers.
+#[test]
+fn degenerate_dynamic_k_policy_is_a_typed_error() {
+    let detector = tiny_detector();
+    let ok = DynamicKConfig::default();
+    for (k_config, rule) in [
+        (
+            DynamicKConfig { min_k: 0, ..ok },
+            DynamicKConfigError::ZeroMinK,
+        ),
+        (
+            DynamicKConfig {
+                min_k: 6,
+                max_k: 3,
+                ..ok
+            },
+            DynamicKConfigError::MinAboveMax,
+        ),
+        (
+            DynamicKConfig { window: 0, ..ok },
+            DynamicKConfigError::ZeroWindow,
+        ),
+        (
+            DynamicKConfig { theta: 0.0, ..ok },
+            DynamicKConfigError::ThetaOutOfRange,
+        ),
+        (
+            DynamicKConfig { theta: 1.5, ..ok },
+            DynamicKConfigError::ThetaOutOfRange,
+        ),
+        (
+            DynamicKConfig {
+                theta: f64::NAN,
+                ..ok
+            },
+            DynamicKConfigError::ThetaOutOfRange,
+        ),
+    ] {
+        let config = EngineConfig {
+            k_policy: KPolicy::Dynamic(k_config),
+            ..base()
+        };
+        let expected = EngineConfigError::InvalidKPolicy(rule);
+        assert_eq!(config.validate(), Err(expected), "{k_config:?}");
+        match Engine::try_start(Arc::clone(&detector), config) {
+            Err(e) => assert_eq!(e, expected),
+            Ok(_) => panic!("degenerate dynamic-k config must not start an engine"),
+        }
+    }
+    // A sound dynamic policy starts.
+    let engine = Engine::try_start(
+        detector,
+        EngineConfig {
+            k_policy: KPolicy::Dynamic(ok),
+            ..base()
+        },
+    )
+    .unwrap();
+    assert_eq!(engine.finish().frames(), 0);
 }

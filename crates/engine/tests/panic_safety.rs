@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use icsad_core::combined::CombinedDetector;
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
+use icsad_core::KPolicy;
 use icsad_dataset::Record;
 use icsad_engine::{Engine, EngineConfig, IngestMode, RawFrame, TestSchedule};
 
@@ -51,7 +52,7 @@ impl StreamingDetector for FailingBackend {
         "failing-test-backend"
     }
 
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
+    fn begin_session(self: Arc<Self>, _policy: KPolicy) -> Box<dyn StreamingSession> {
         let first = self.sessions_opened.fetch_add(1, Ordering::SeqCst) == 0;
         self.live_sessions.fetch_add(1, Ordering::SeqCst);
         Box::new(CountingSession {

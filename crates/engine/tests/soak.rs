@@ -13,6 +13,7 @@ use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::streaming::{LaneDecision, StreamingDetector, StreamingSession, SwapError};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
+use icsad_core::KPolicy;
 use icsad_dataset::{DatasetConfig, GasPipelineDataset, Record};
 use icsad_engine::{Engine, EngineConfig, IngestMode, RawFrame, TestSchedule};
 use icsad_simulator::{TrafficConfig, TrafficGenerator};
@@ -151,7 +152,7 @@ impl StreamingDetector for SlowBackend {
         "slow-test-backend"
     }
 
-    fn begin_session(self: Arc<Self>) -> Box<dyn StreamingSession> {
+    fn begin_session(self: Arc<Self>, _policy: KPolicy) -> Box<dyn StreamingSession> {
         Box::new(SlowSession {
             lanes: 0,
             delay: self.delay,

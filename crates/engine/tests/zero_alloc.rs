@@ -2,7 +2,8 @@
 //! brackets a steady-state ingest window and asserts the **whole pipeline**
 //! — routing, chunking, queue hand-off, extraction, classification,
 //! decision pairing — performs *zero* heap allocations per frame, on a
-//! one-worker and a two-worker pool.
+//! one-worker and a two-worker pool, under both the fixed-`k` and the
+//! per-stream dynamic-`k` policy.
 //!
 //! The warm-up phase is allowed to allocate freely: lanes are created,
 //! queues and scratch buffers grow to their steady-state capacity, the
@@ -20,6 +21,7 @@ use std::time::{Duration, Instant};
 use icsad_core::combined::CombinedDetector;
 use icsad_core::experiment::{train_framework, ExperimentConfig};
 use icsad_core::timeseries::TimeSeriesTrainingConfig;
+use icsad_core::{DynamicKConfig, KPolicy};
 use icsad_dataset::{DatasetConfig, GasPipelineDataset};
 use icsad_engine::{Engine, EngineConfig, IngestMode, RawFrame};
 use icsad_simulator::{Packet, TrafficConfig, TrafficGenerator};
@@ -107,12 +109,17 @@ fn drain(engine: &Engine) {
     }
 }
 
-/// Runs warm-up + measured window under `mode`, returning the number of
-/// allocation events observed inside the measured window. The measured
-/// window ingests the second half of `packets` plus a malformed-frame
-/// `garbage` burst — quarantine is part of the hot path and must be just
-/// as allocation-free as classification.
-fn measured_alloc_events(mode: IngestMode, packets: &[Packet], garbage: &[RawFrame]) -> u64 {
+/// Runs warm-up + measured window under `mode` and `k_policy`, returning
+/// the number of allocation events observed inside the measured window.
+/// The measured window ingests the second half of `packets` plus a
+/// malformed-frame `garbage` burst — quarantine is part of the hot path
+/// and must be just as allocation-free as classification.
+fn measured_alloc_events(
+    mode: IngestMode,
+    k_policy: KPolicy,
+    packets: &[Packet],
+    garbage: &[RawFrame],
+) -> u64 {
     let mut engine = Engine::start(
         tiny_detector(),
         EngineConfig {
@@ -121,6 +128,7 @@ fn measured_alloc_events(mode: IngestMode, packets: &[Packet], garbage: &[RawFra
             // ring reaches its steady-state population before measuring.
             channel_capacity: 128,
             ingest: mode,
+            k_policy,
             // Keep every round atomic: fork-join splitting allocates its
             // partition scaffolding by design and is a different test's
             // subject.
@@ -182,14 +190,20 @@ fn steady_state_ingest_allocates_nothing() {
         .collect();
     assert!(garbage.iter().all(|f| !f.is_well_formed()));
 
-    // Both pool sizes run inside one #[test] so no concurrent test
-    // pollutes the process-wide allocation counter. One worker multiplexes
-    // both shards; two give each shard its own thread.
-    for workers in [1, 2] {
-        let events = measured_alloc_events(IngestMode::Async { workers }, &packets, &garbage);
-        assert_eq!(
-            events, 0,
-            "steady-state ingest on {workers} worker(s) allocated {events} times"
-        );
+    // Every policy and pool size runs inside one #[test] so no concurrent
+    // test pollutes the process-wide allocation counter. One worker
+    // multiplexes both shards; two give each shard its own thread. A
+    // dynamic lane re-estimates its k on every accepted package, so the
+    // controller's rolling quantile is on the measured hot path too.
+    for k_policy in [KPolicy::Fixed, KPolicy::Dynamic(DynamicKConfig::default())] {
+        for workers in [1, 2] {
+            let events =
+                measured_alloc_events(IngestMode::Async { workers }, k_policy, &packets, &garbage);
+            assert_eq!(
+                events, 0,
+                "steady-state ingest under {k_policy:?} on {workers} worker(s) \
+                 allocated {events} times"
+            );
+        }
     }
 }

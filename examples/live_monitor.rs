@@ -5,9 +5,10 @@
 //!    versioned `ICSA` artifact (twice — the second artifact models a
 //!    re-commissioning with a retuned top-`k`).
 //! 2. **Cold-start**: spawn the sharded streaming engine from the first
-//!    artifact ([`icsad::engine::Engine::start_from_artifact`]) in
-//!    **adaptive-`k` mode** ([`icsad::engine::EngineMode::AdaptiveK`]):
-//!    every PLC stream carries its own dynamic-`k` controller.
+//!    artifact ([`icsad::engine::Engine::start_from_artifact`]) under the
+//!    **dynamic-`k` policy** ([`icsad::core::KPolicy::Dynamic`] in
+//!    [`icsad::engine::EngineConfig::k_policy`]): every PLC stream lane
+//!    carries its own dynamic-`k` controller.
 //! 3. **Monitor**: replay an attack-bearing multi-PLC capture as raw
 //!    Modbus frames; the engine demultiplexes streams by unit id and
 //!    batches in-flight streams through the LSTM together. Garbage frames
@@ -108,15 +109,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     packets.sort_by(|a, b| a.time.total_cmp(&b.time));
 
     // Cold-start the engine straight from the artifact, as a monitor
-    // process restarting in the field would — in adaptive-k mode, so each
-    // stream's k follows its own recent prediction ranks (paper §VIII-D).
+    // process restarting in the field would — under the dynamic-k policy,
+    // so each stream's k follows its own recent prediction ranks (paper
+    // §VIII-D).
     let t_cold = std::time::Instant::now();
     let mut engine = Engine::start_from_artifact(
         &artifact_v1,
         EngineConfig {
             num_shards: 2,
             batch_size: 32,
-            mode: EngineMode::AdaptiveK(DynamicKConfig::default()),
+            k_policy: KPolicy::Dynamic(DynamicKConfig::default()),
             ..EngineConfig::default()
         },
     )?;

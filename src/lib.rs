@@ -76,18 +76,17 @@ pub mod prelude {
     pub use icsad_core::{
         artifact::ArtifactError,
         combined::{CombinedBatch, CombinedDetector, DetectionLevel},
-        detector::Detector,
-        dynamic_k::{DynamicKConfig, DynamicKController},
+        dynamic_k::{DynamicKConfig, DynamicKConfigError, DynamicKController, KPolicy},
         experiment::{train_framework, ExperimentConfig, TrainedFramework},
         metrics::{ClassificationReport, ConfusionCounts, PerAttackRecall},
         package::PackageLevelDetector,
-        streaming::{AdaptiveCombined, StreamingDetector, StreamingSession},
+        streaming::{StreamingDetector, StreamingSession},
         timeseries::{NoiseConfig, TimeSeriesDetector, TimeSeriesTrainingConfig},
     };
     pub use icsad_dataset::{DatasetConfig, Fragments, GasPipelineDataset, Record, Split};
     pub use icsad_engine::{
-        Engine, EngineConfig, EngineConfigError, EngineMode, EngineReport, IngestMode, RawFrame,
-        ReloadError, RuntimeStats, TestSchedule,
+        Engine, EngineConfig, EngineConfigError, EngineReport, IngestMode, RawFrame, ReloadError,
+        RuntimeStats, TestSchedule,
     };
     pub use icsad_features::{DiscretizationConfig, Discretizer, Signature, SignatureVocabulary};
     pub use icsad_simulator::{AttackType, Packet, TrafficConfig, TrafficGenerator};
