@@ -1,5 +1,6 @@
-//! Criterion bench: LSTM forward step and BPTT training cost — the compute
-//! behind the paper's Fig. 6 training budget (50 epochs in ~35 min).
+//! Criterion bench: LSTM forward step, batched round step and BPTT training
+//! cost — the compute behind the paper's Fig. 6 training budget (50 epochs
+//! in ~35 min) and the per-package LSTM check of §VIII-A.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use icsad_nn::{LstmClassifier, ModelConfig};
@@ -33,6 +34,31 @@ fn bench_lstm(c: &mut Criterion) {
             black_box(probs[0])
         })
     });
+
+    // One engine round at the paper scale: gather `w` lanes' states, then
+    // step them together through the batched kernels. Widths 1, 4 and 18
+    // cover a lone lane, a narrow paced round and a fleet-replay round.
+    for width in [1usize, 4, 18] {
+        let states: Vec<_> = (0..width).map(|_| paper.new_state()).collect();
+        let xs: Vec<f32> = (0..width).flat_map(one_hot_input).collect();
+        let mut scratch = paper.batch_scratch();
+        paper.reserve_lanes(&mut scratch, width);
+        let mut logits = vec![0.0f32; width * 613];
+        c.bench_function(&format!("lstm_forward_batch_2x256_w{width}"), |b| {
+            b.iter(|| {
+                for (i, state) in states.iter().enumerate() {
+                    paper.gather_lane(&mut scratch, i, state);
+                }
+                paper.forward_batch_gathered_logits(
+                    &mut scratch,
+                    width,
+                    black_box(&xs),
+                    &mut logits,
+                );
+                black_box(logits[0])
+            })
+        });
+    }
 
     // The workspace default: 2x64.
     let small = model(vec![64, 64], 613);

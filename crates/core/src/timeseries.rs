@@ -548,19 +548,6 @@ impl TimeSeriesDetector {
         if batch == 0 {
             return;
         }
-        if batch == 1 {
-            // A one-lane batch gains nothing from the gemm path (and pays
-            // its packing); the streaming step is the same computation.
-            let (anomalous, rank) = self.process(
-                states[lanes[0]].borrow_mut(),
-                &vectors[0],
-                signature_ids[0],
-                flag_noisy[0],
-            );
-            out.push(anomalous);
-            ranks.push(rank);
-            return;
-        }
         let dims = self.encoder.dims();
         let nc = self.model.num_classes();
         if scratch.xs.len() < batch * dims {

@@ -3,13 +3,15 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::tensor::{axpy, gemm_dense_acc, matvec_acc, matvec_t_acc, outer_acc, Tensor2};
+use crate::tensor::{axpy, gemm_dense_acc, matvec_acc, outer_acc, Panels, Tensor2};
 
 /// A fully connected layer `y = W x + b`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     pub(crate) w: Tensor2,
     pub(crate) b: Vec<f32>,
+    /// `w` packed for the batched kernel ([`Dense::repack`]).
+    w_panels: Panels,
 }
 
 /// Gradients mirroring a [`Dense`] layer.
@@ -34,10 +36,19 @@ impl Dense {
         let data = (0..input_dim * output_dim)
             .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
             .collect();
-        Dense {
+        let mut dense = Dense {
             w: Tensor2::from_vec(input_dim, output_dim, data),
             b: vec![0.0; output_dim],
-        }
+            w_panels: Panels::default(),
+        };
+        dense.repack();
+        dense
+    }
+
+    /// Re-packs the kernel panels from the current weights; every write to
+    /// `w` after construction must be followed by this call.
+    pub(crate) fn repack(&mut self) {
+        self.w.pack_into(&mut self.w_panels);
     }
 
     /// Input dimensionality.
@@ -76,9 +87,9 @@ impl Dense {
 
     /// Batched projection: computes `out[b] = W x[b] + b` for every lane of
     /// a `batch x input_dim` block into a `batch x output_dim` block, as one
-    /// register-blocked matrix–matrix product (the projection input is a
-    /// dense hidden activation). Results compare equal to per-lane
-    /// [`Dense::forward`].
+    /// register-blocked matrix–matrix product over the packed panels (the
+    /// projection input is a dense hidden activation). Results compare
+    /// equal to per-lane [`Dense::forward`].
     ///
     /// # Panics
     ///
@@ -89,15 +100,15 @@ impl Dense {
         for b in 0..batch {
             out[b * n..(b + 1) * n].copy_from_slice(&self.b);
         }
-        gemm_dense_acc(batch, x, &self.w, out);
+        gemm_dense_acc(batch, x, &self.w_panels, out);
     }
 
     /// Accumulates parameter gradients and writes the input gradient for a
     /// whole batch of rows at once.
     ///
     /// `x` is the `batch x input_dim` activation block, `dy` the
-    /// `batch x output_dim` logits-gradient block, `wt` the packed
-    /// transposed view of `self.w` (see [`crate::model::BackwardPack`]),
+    /// `batch x output_dim` logits-gradient block, `wt` the transposed
+    /// panels of `self.w` (see [`crate::model::BackwardPack`]),
     /// and `dx` receives `dY Wᵀ` (overwritten, not accumulated). Parameter
     /// gradients run as single batched kernels — `dW += Xᵀ dY` and the bias
     /// row-sum — streaming the weight matrix once per batch.
@@ -106,7 +117,7 @@ impl Dense {
         batch: usize,
         x: &[f32],
         dy: &[f32],
-        wt: &Tensor2,
+        wt: &Panels,
         grad: &mut DenseGrad,
         dx: &mut [f32],
     ) {
@@ -116,7 +127,8 @@ impl Dense {
             axpy(1.0, row, &mut grad.b);
         }
         dx.fill(0.0);
-        matvec_t_acc(batch, dy, wt, dx);
+        // dX = dY·Wᵀ over the transposed panels.
+        gemm_dense_acc(batch, dy, wt, dx);
     }
 }
 
@@ -148,6 +160,7 @@ mod tests {
         let mut d = Dense::new(2, 3, &mut rng());
         d.w = Tensor2::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         d.b = vec![0.5, 0.5, 0.5];
+        d.repack();
         let mut out = vec![0.0; 3];
         d.forward(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![9.5, 12.5, 15.5]);
@@ -167,8 +180,8 @@ mod tests {
         d.forward(&x, &mut y);
         let mut grad = d.zero_grad();
         let mut dx = vec![0.0; 3];
-        let mut wt = Tensor2::zeros(1, 1);
-        crate::tensor::transpose_into(&d.w, &mut wt);
+        let mut wt = Panels::default();
+        d.w.pack_transposed_into(&mut wt);
         d.backward_batch(1, &x, &y, &wt, &mut grad, &mut dx);
 
         let eps = 1e-2f32;

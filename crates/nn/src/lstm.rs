@@ -20,9 +20,7 @@ use rand_chacha::ChaCha12Rng;
 use crate::activations::{
     sigmoid_deriv_from_output, sigmoid_in_place, tanh_deriv_from_output, tanh_in_place,
 };
-use crate::tensor::{
-    axpy, gemm_acc, gemm_dense_acc, grow, matvec_acc, matvec_t_acc, outer_acc, Tensor2,
-};
+use crate::tensor::{axpy, gemm_acc, gemm_dense_acc, grow, matvec_acc, outer_acc, Panels, Tensor2};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +28,11 @@ pub struct LstmLayer {
     pub(crate) w: Tensor2,
     pub(crate) u: Tensor2,
     pub(crate) b: Vec<f32>,
+    /// `u` packed for the dense batched kernel ([`LstmLayer::repack`]).
+    u_panels: Panels,
+    /// `w` packed likewise on a dense-input layer; `None` on the one-hot
+    /// stack input, whose `W x` runs the zero-skipping row-major kernel.
+    w_panels: Option<Panels>,
     input_dim: usize,
     hidden_dim: usize,
 }
@@ -159,12 +162,20 @@ pub(crate) struct BpttScratch {
 
 impl LstmLayer {
     /// Creates a layer with uniform Xavier-style initialization and the
-    /// customary forget-gate bias of 1.
+    /// customary forget-gate bias of 1. `sparse_input` marks a layer fed
+    /// one-hot vectors (the stack input): its batched `W x` keeps the
+    /// zero-skipping kernel, where a dense-input layer's runs the
+    /// register-tiled one over packed panels.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut ChaCha12Rng) -> Self {
+    pub fn new(
+        input_dim: usize,
+        hidden_dim: usize,
+        sparse_input: bool,
+        rng: &mut ChaCha12Rng,
+    ) -> Self {
         assert!(
             input_dim > 0 && hidden_dim > 0,
             "lstm dims must be positive"
@@ -184,12 +195,35 @@ impl LstmLayer {
         for bf in &mut b[hidden_dim..2 * hidden_dim] {
             *bf = 1.0;
         }
-        LstmLayer {
+        let mut layer = LstmLayer {
             w,
             u,
             b,
+            u_panels: Panels::default(),
+            w_panels: (!sparse_input).then(Panels::default),
             input_dim,
             hidden_dim,
+        };
+        layer.repack();
+        layer
+    }
+
+    /// Re-packs the kernel panels from the current weights. Every write to
+    /// `w` or `u` after construction must be followed by this call (the
+    /// model does it on deserialization and after each optimizer step).
+    pub(crate) fn repack(&mut self) {
+        self.u.pack_into(&mut self.u_panels);
+        if let Some(w_panels) = &mut self.w_panels {
+            self.w.pack_into(w_panels);
+        }
+    }
+
+    /// `z[r] += x[r]ᵀ·W` for `rows` input rows: the zero-skipping kernel on
+    /// the one-hot stack input, the panel kernel on dense inputs.
+    fn input_projection(&self, rows: usize, x: &[f32], z: &mut [f32]) {
+        match &self.w_panels {
+            Some(w_panels) => gemm_dense_acc(rows, x, w_panels, z),
+            None => gemm_acc(rows, x, &self.w, z),
         }
     }
 
@@ -255,12 +289,9 @@ impl LstmLayer {
     /// `x` is the `batch x input_dim` input block; `h` and `c` are the
     /// `batch x hidden_dim` recurrent state blocks (updated in place, `h`
     /// holding the lane outputs afterwards); `z` is a `batch x 4*hidden_dim`
-    /// scratch block. `sparse_input` selects the zero-skipping kernel for
-    /// the `W x` product (right for one-hot inputs; lower layers of a
-    /// stack should pass `false` so dense activations take the
-    /// register-blocked kernel). Gate preactivations accumulate bias, then
-    /// `W x`, then `U h` in the same order as [`LstmLayer::forward`], so
-    /// every lane's result compares equal to stepping it alone.
+    /// scratch block. Gate preactivations accumulate bias, then `W x`, then
+    /// `U h` in the same order as [`LstmLayer::forward`], so every lane's
+    /// result compares equal to stepping it alone.
     ///
     /// # Panics
     ///
@@ -272,7 +303,6 @@ impl LstmLayer {
         h: &mut [f32],
         c: &mut [f32],
         z: &mut [f32],
-        sparse_input: bool,
     ) {
         let hd = self.hidden_dim;
         assert_eq!(x.len(), batch * self.input_dim, "lstm batch input mismatch");
@@ -284,12 +314,8 @@ impl LstmLayer {
         for b in 0..batch {
             z[b * 4 * hd..(b + 1) * 4 * hd].copy_from_slice(&self.b);
         }
-        if sparse_input {
-            gemm_acc(batch, x, &self.w, z);
-        } else {
-            gemm_dense_acc(batch, x, &self.w, z);
-        }
-        gemm_dense_acc(batch, h, &self.u, z);
+        self.input_projection(batch, x, z);
+        gemm_dense_acc(batch, h, &self.u_panels, z);
 
         for b in 0..batch {
             let zr = &mut z[b * 4 * hd..(b + 1) * 4 * hd];
@@ -320,7 +346,6 @@ impl LstmLayer {
         sched: &LaneSchedule,
         x_cat: &[f32],
         tape: &mut LayerTape,
-        sparse_input: bool,
     ) {
         let hd = self.hidden_dim;
         let total = sched.total;
@@ -335,11 +360,7 @@ impl LstmLayer {
         for row in z.chunks_exact_mut(4 * hd) {
             row.copy_from_slice(&self.b);
         }
-        if sparse_input {
-            gemm_acc(total, x_cat, &self.w, z);
-        } else {
-            gemm_dense_acc(total, x_cat, &self.w, z);
-        }
+        self.input_projection(total, x_cat, z);
 
         // Recurrent half: U h_{t-1} (h_prev ≡ 0 at t = 0, so the product
         // is skipped there), gate nonlinearities, cell update.
@@ -351,7 +372,7 @@ impl LstmLayer {
                 gemm_dense_acc(
                     n,
                     &tape.out[p0 * hd..(p0 + n) * hd],
-                    &self.u,
+                    &self.u_panels,
                     &mut z[r0 * 4 * hd..(r0 + n) * 4 * hd],
                 );
             }
@@ -386,8 +407,8 @@ impl LstmLayer {
     /// Backpropagates through a taped forward pass of a whole minibatch.
     ///
     /// `d_out` is `∂L/∂h` in tape layout (`total x H`, already including
-    /// any direct loss contribution); `wt`/`ut` are the packed transposed
-    /// views of `self.w`/`self.u` (see [`crate::model::BackwardPack`]).
+    /// any direct loss contribution); `wt`/`ut` are the transposed panels
+    /// of `self.w`/`self.u` (see [`crate::model::BackwardPack`]).
     /// Parameter gradients accumulate into `grad`; `∂L/∂x` is written
     /// (overwritten, not accumulated) into `d_inputs` in tape layout.
     ///
@@ -405,8 +426,8 @@ impl LstmLayer {
         x_cat: &[f32],
         tape: &LayerTape,
         d_out: &[f32],
-        wt: &Tensor2,
-        ut: &Tensor2,
+        wt: &Panels,
+        ut: &Panels,
         grad: &mut LstmGrad,
         d_inputs: &mut [f32],
         scratch: &mut BpttScratch,
@@ -465,7 +486,8 @@ impl LstmLayer {
             // still zero from the initial fill — exactly the zero gradient
             // those lanes must contribute.
             dh_next[..n * hd].fill(0.0);
-            matvec_t_acc(
+            // dH = dZ·Uᵀ over the transposed panels.
+            gemm_dense_acc(
                 n,
                 &dz[r0 * 4 * hd..(r0 + n) * 4 * hd],
                 ut,
@@ -493,7 +515,7 @@ impl LstmLayer {
             axpy(1.0, row, &mut grad.b);
         }
         d_inputs.fill(0.0);
-        matvec_t_acc(total, dz, wt, d_inputs);
+        gemm_dense_acc(total, dz, wt, d_inputs);
     }
 }
 
@@ -526,7 +548,7 @@ mod tests {
 
     #[test]
     fn state_shapes() {
-        let layer = LstmLayer::new(3, 5, &mut rng());
+        let layer = LstmLayer::new(3, 5, false, &mut rng());
         assert_eq!(layer.input_dim(), 3);
         assert_eq!(layer.hidden_dim(), 5);
         assert_eq!(layer.param_count(), 3 * 20 + 5 * 20 + 20);
@@ -537,14 +559,14 @@ mod tests {
 
     #[test]
     fn forget_bias_initialized_to_one() {
-        let layer = LstmLayer::new(2, 3, &mut rng());
+        let layer = LstmLayer::new(2, 3, false, &mut rng());
         assert!(layer.b[3..6].iter().all(|&b| b == 1.0));
         assert!(layer.b[..3].iter().all(|&b| b == 0.0));
     }
 
     #[test]
     fn outputs_bounded_by_one() {
-        let layer = LstmLayer::new(4, 8, &mut rng());
+        let layer = LstmLayer::new(4, 8, false, &mut rng());
         let mut state = LstmState::zeros(8);
         let mut h = vec![0.0; 8];
         for t in 0..50 {
@@ -557,7 +579,7 @@ mod tests {
 
     #[test]
     fn state_carries_memory() {
-        let layer = LstmLayer::new(2, 4, &mut rng());
+        let layer = LstmLayer::new(2, 4, false, &mut rng());
         let mut fresh = LstmState::zeros(4);
         let mut primed = LstmState::zeros(4);
         let mut h = vec![0.0; 4];
@@ -574,8 +596,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = LstmLayer::new(3, 4, &mut rng());
-        let b = LstmLayer::new(3, 4, &mut rng());
+        let a = LstmLayer::new(3, 4, false, &mut rng());
+        let b = LstmLayer::new(3, 4, false, &mut rng());
         assert_eq!(a, b);
     }
 
@@ -594,7 +616,7 @@ mod tests {
 
     #[test]
     fn forward_batch_train_matches_streaming_forward_bitwise() {
-        let layer = LstmLayer::new(3, 4, &mut rng());
+        let layer = LstmLayer::new(3, 4, false, &mut rng());
         // Two ragged lanes, lengths 5 and 3 (sorted descending).
         let lane_inputs: Vec<Vec<Vec<f32>>> = [5usize, 3]
             .iter()
@@ -618,7 +640,7 @@ mod tests {
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_batch_train(&sched, &x_cat, &mut tape, false);
+        layer.forward_batch_train(&sched, &x_cat, &mut tape);
 
         let mut h = vec![0.0f32; 4];
         for (i, inputs) in lane_inputs.iter().enumerate() {
@@ -644,7 +666,7 @@ mod tests {
     /// two-lane minibatch with a quadratic loss on the outputs.
     #[test]
     fn gradients_match_finite_differences() {
-        let mut layer = LstmLayer::new(3, 4, &mut rng());
+        let mut layer = LstmLayer::new(3, 4, false, &mut rng());
         let lane_lens = [5usize, 3];
         let lane_inputs: Vec<Vec<Vec<f32>>> = lane_lens
             .iter()
@@ -684,12 +706,12 @@ mod tests {
             }
         }
         let mut tape = LayerTape::default();
-        layer.forward_batch_train(&sched, &x_cat, &mut tape, false);
+        layer.forward_batch_train(&sched, &x_cat, &mut tape);
         let d_out = tape.out[..sched.total * 4].to_vec();
-        let mut wt = Tensor2::zeros(1, 1);
-        let mut ut = Tensor2::zeros(1, 1);
-        crate::tensor::transpose_into(&layer.w, &mut wt);
-        crate::tensor::transpose_into(&layer.u, &mut ut);
+        let mut wt = Panels::default();
+        let mut ut = Panels::default();
+        layer.w.pack_transposed_into(&mut wt);
+        layer.u.pack_transposed_into(&mut ut);
         let mut grad = layer.zero_grad();
         let mut d_inputs = vec![0.0f32; sched.total * 3];
         let mut scratch = BpttScratch::default();
@@ -761,12 +783,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "dims must be positive")]
     fn zero_dims_panic() {
-        LstmLayer::new(0, 4, &mut rng());
+        LstmLayer::new(0, 4, false, &mut rng());
     }
 
     #[test]
     fn forward_batch_matches_single_lane_steps_bitwise() {
-        let layer = LstmLayer::new(5, 40, &mut rng()); // > gemm k block once stacked
+        for sparse_input in [false, true] {
+            forward_batch_matches_single_lane_steps(sparse_input);
+        }
+    }
+
+    fn forward_batch_matches_single_lane_steps(sparse_input: bool) {
+        // > gemm k block once stacked
+        let layer = LstmLayer::new(5, 40, sparse_input, &mut rng());
         let lanes = 6usize;
         let hd = layer.hidden_dim();
 
@@ -785,8 +814,8 @@ mod tests {
                     _ => (((i * 13 + t * 7) % 19) as f32 - 9.0) / 5.0,
                 })
                 .collect();
-            // Dense-input path: the test inputs mix zeros and reals.
-            layer.forward_batch(lanes, &xs, &mut h, &mut c, &mut z, false);
+            // The test inputs mix zeros, ones and reals.
+            layer.forward_batch(lanes, &xs, &mut h, &mut c, &mut z);
             let mut out = vec![0.0f32; hd];
             for (lane, state) in ref_states.iter_mut().enumerate() {
                 layer.forward(&xs[lane * 5..(lane + 1) * 5], state, &mut out);
@@ -807,10 +836,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "lstm batch input mismatch")]
     fn forward_batch_rejects_bad_block() {
-        let layer = LstmLayer::new(3, 4, &mut rng());
+        let layer = LstmLayer::new(3, 4, false, &mut rng());
         let mut h = vec![0.0; 8];
         let mut c = vec![0.0; 8];
         let mut z = vec![0.0; 32];
-        layer.forward_batch(2, &[0.0; 5], &mut h, &mut c, &mut z, true);
+        layer.forward_batch(2, &[0.0; 5], &mut h, &mut c, &mut z);
     }
 }

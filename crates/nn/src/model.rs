@@ -7,7 +7,7 @@ use crate::activations::softmax_in_place;
 use crate::dense::{Dense, DenseGrad};
 use crate::loss::{in_top_k, softmax_cross_entropy, softmax_cross_entropy_grad};
 use crate::lstm::{BpttScratch, LaneSchedule, LayerTape, LstmLayer, LstmState};
-use crate::tensor::{grow, transpose_into, Tensor2};
+use crate::tensor::{grow, Panels};
 
 /// Architecture of the classifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,26 +133,26 @@ impl StreamState {
     }
 }
 
-/// Packed transposed views of every weight matrix, consumed by the
-/// backward kernels (`dX = dY Wᵀ` contracts over weight *columns*; over
-/// the transposed copy it reuses the register-tiled forward gemm).
+/// Transposed panels of every weight matrix, consumed by the backward
+/// kernels (`dX = dY Wᵀ` contracts over weight *columns*; over the
+/// transposed panels it is the register-tiled forward gemm).
 ///
 /// The pack is intentionally **not** stored inside [`LstmClassifier`]:
-/// it is derived data that must be rebuilt whenever the weights change.
-/// Build one with [`BackwardPack::new`] and call
-/// [`BackwardPack::refresh`] after every optimizer step.
+/// inference never needs it. It is derived data that must be rebuilt
+/// whenever the weights change: build one with [`BackwardPack::new`] and
+/// call [`BackwardPack::refresh`] after every optimizer step.
 #[derive(Debug, Clone)]
 pub struct BackwardPack {
     layers: Vec<LayerPack>,
-    dense_wt: Tensor2,
+    dense_wt: Panels,
 }
 
 #[derive(Debug, Clone)]
 struct LayerPack {
     /// Transpose of the layer's input weights, `4H x in`.
-    wt: Tensor2,
+    wt: Panels,
     /// Transpose of the layer's recurrent weights, `4H x H`.
-    ut: Tensor2,
+    ut: Panels,
 }
 
 impl BackwardPack {
@@ -163,17 +163,17 @@ impl BackwardPack {
                 .layers
                 .iter()
                 .map(|_| LayerPack {
-                    wt: Tensor2::zeros(1, 1),
-                    ut: Tensor2::zeros(1, 1),
+                    wt: Panels::default(),
+                    ut: Panels::default(),
                 })
                 .collect(),
-            dense_wt: Tensor2::zeros(1, 1),
+            dense_wt: Panels::default(),
         };
         pack.refresh(model);
         pack
     }
 
-    /// Re-packs the transposed views from `model`'s current weights.
+    /// Re-packs the transposed panels from `model`'s current weights.
     ///
     /// # Panics
     ///
@@ -186,10 +186,10 @@ impl BackwardPack {
             "layer count mismatch"
         );
         for (lp, layer) in self.layers.iter_mut().zip(model.layers.iter()) {
-            transpose_into(&layer.w, &mut lp.wt);
-            transpose_into(&layer.u, &mut lp.ut);
+            layer.w.pack_transposed_into(&mut lp.wt);
+            layer.u.pack_transposed_into(&mut lp.ut);
         }
-        transpose_into(&model.dense.w, &mut self.dense_wt);
+        model.dense.w.pack_transposed_into(&mut self.dense_wt);
     }
 }
 
@@ -264,8 +264,10 @@ impl LstmClassifier {
         let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
         let mut layers = Vec::with_capacity(config.hidden_dims.len());
         let mut in_dim = config.input_dim;
-        for &h in &config.hidden_dims {
-            layers.push(LstmLayer::new(in_dim, h, &mut rng));
+        for (l, &h) in config.hidden_dims.iter().enumerate() {
+            // Only the stack input is one-hot; higher layers consume dense
+            // activations.
+            layers.push(LstmLayer::new(in_dim, h, l == 0, &mut rng));
             in_dim = h;
         }
         let dense = Dense::new(in_dim, config.num_classes, &mut rng);
@@ -483,9 +485,6 @@ impl LstmClassifier {
                 &mut at[0][..batch * hd],
                 &mut scratch.c[l][..batch * hd],
                 &mut scratch.z[l][..batch * 4 * hd],
-                // Only the stack input is one-hot; higher layers consume
-                // dense activations.
-                l == 0,
             );
         }
 
@@ -595,7 +594,7 @@ impl LstmClassifier {
     /// data-only order) and processed time-major, so per-lane activations
     /// are bitwise those of training the lane alone while every weight
     /// matrix streams once per *chunk set* instead of once per timestep.
-    /// `pack` must hold the transposed views of the **current** weights
+    /// `pack` must hold the transposed panels of the **current** weights
     /// ([`BackwardPack::refresh`] after every optimizer step); `scratch`
     /// is reusable across calls and grows to the largest minibatch seen.
     ///
@@ -661,9 +660,7 @@ impl LstmClassifier {
             } else {
                 &below[l - 1].out[..total * self.layers[l - 1].hidden_dim()]
             };
-            // Only the stack input is one-hot; higher layers consume dense
-            // activations.
-            self.layers[l].forward_batch_train(&sched, x_block, &mut at[0], l == 0);
+            self.layers[l].forward_batch_train(&sched, x_block, &mut at[0]);
         }
 
         // Dense head: logits for every (timestep, lane) row at once, then
@@ -736,9 +733,31 @@ impl LstmClassifier {
         (loss, correct)
     }
 
+    /// Applies one optimizer update: `update` receives every parameter
+    /// slice paired with its gradient slice, in a stable order, and the
+    /// kernel panels are re-packed from the result. This and
+    /// [`LstmClassifier::from_bytes`] are the only writes to the weights
+    /// after construction, so no panel can go stale.
+    pub(crate) fn apply_update(
+        &mut self,
+        grads: &Gradients,
+        update: impl FnOnce(&mut [(&mut [f32], &[f32])]),
+    ) {
+        update(&mut self.params_with_grads(grads));
+        self.repack();
+    }
+
+    /// Re-packs every layer's kernel panels from the current weights.
+    fn repack(&mut self) {
+        for layer in &mut self.layers {
+            layer.repack();
+        }
+        self.dense.repack();
+    }
+
     /// Pairs every parameter slice with its gradient slice, in a stable
     /// order (for the optimizer).
-    pub(crate) fn params_with_grads<'a>(
+    fn params_with_grads<'a>(
         &'a mut self,
         grads: &'a Gradients,
     ) -> Vec<(&'a mut [f32], &'a [f32])> {
@@ -836,6 +855,7 @@ impl LstmClassifier {
         if pos != bytes.len() {
             return None;
         }
+        model.repack();
         Some(model)
     }
 }
@@ -921,11 +941,13 @@ mod tests {
             grads.zero();
             let (loss, _) = model.train_sequence(&inputs, &targets, &mut grads, 1.0 / 40.0);
             // Plain SGD for this test.
-            for (p, g) in model.params_with_grads(&grads) {
-                for (pv, gv) in p.iter_mut().zip(g.iter()) {
-                    *pv -= 0.5 * gv;
+            model.apply_update(&grads, |slots| {
+                for (p, g) in slots.iter_mut() {
+                    for (pv, gv) in p.iter_mut().zip(g.iter()) {
+                        *pv -= 0.5 * gv;
+                    }
                 }
-            }
+            });
             first_loss.get_or_insert(loss);
             last_loss = loss;
         }

@@ -11,14 +11,21 @@
 //! output columns only — every `y[j]` accumulates its `k` contributions in
 //! ascending order, which keeps batched ≡ per-record bit-identical.
 //!
-//! The backward (training) kernels — [`matvec_t_acc`], [`outer_acc`] — ride
-//! the same dispatched layer: the data gradient contracts over a packed
-//! **transposed** weight view (see [`transpose_into`]; refreshed once per
-//! optimizer step by the trainer) so it reuses the register-tiled dense
-//! gemm, and the weight gradient is the batched outer product
-//! `dW += Xᵀ·dY` with the sparse kernel's zero-skip. Both keep the
-//! ascending-contraction order, so SIMD ≡ scalar stays bitwise for
-//! training too.
+//! The row-major matrix feeds the per-record and one-hot kernels
+//! ([`matvec_acc`], [`gemm_acc`]). The register-tiled dense kernel
+//! ([`gemm_dense_acc`]) reads a [`Panels`] copy instead: column panels the
+//! weights' owner packs once — at construction, on deserialization and
+//! after every optimizer step — so no kernel call copies a weight.
+//!
+//! The backward (training) kernels ride the same layer: the data gradient
+//! `dX += dY·Wᵀ` is [`gemm_dense_acc`] over a **transposed** pack
+//! ([`Panels::pack_transposed`], refreshed with the forward panels after
+//! every optimizer step), and the weight gradient is the batched
+//! outer product [`outer_acc`] (`dW += Xᵀ·dY`) with the sparse kernel's
+//! zero-skip. Both keep the ascending-contraction order, so SIMD ≡ scalar
+//! stays bitwise for training too.
+
+pub use icsad_simd::Panels;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +108,18 @@ impl Tensor2 {
         self.data.fill(0.0);
     }
 
+    /// Re-packs `panels` from this matrix for [`gemm_dense_acc`].
+    pub(crate) fn pack_into(&self, panels: &mut Panels) {
+        panels.pack(self.rows, self.cols, &self.data);
+    }
+
+    /// Re-packs `panels` with this matrix's transpose: [`gemm_dense_acc`]
+    /// over it computes `dX += dY·Wᵀ`, contracting over this matrix's
+    /// columns.
+    pub(crate) fn pack_transposed_into(&self, panels: &mut Panels) {
+        panels.pack_transposed(self.rows, self.cols, &self.data);
+    }
+
     /// Adds `other` elementwise (used to merge per-thread gradients).
     ///
     /// # Panics
@@ -137,48 +156,6 @@ pub fn matvec_acc(w: &Tensor2, x: &[f32], y: &mut [f32]) {
     assert_eq!(w.rows(), x.len(), "matvec_acc: input length mismatch");
     assert_eq!(w.cols(), y.len(), "matvec_acc: output length mismatch");
     icsad_simd::gemm_acc_f32(1, x, w.rows(), w.as_slice(), w.cols(), y);
-}
-
-/// Writes the transpose of `w` into `wt` (`wt[j][i] = w[i][j]`), resizing
-/// `wt` if its shape differs. The backward kernels contract over weight
-/// *columns*; handing them a packed transposed view keeps their memory
-/// walks contiguous and their vectorization along the independent output
-/// dimension. The trainer refreshes these views once per optimizer step.
-pub fn transpose_into(w: &Tensor2, wt: &mut Tensor2) {
-    if (wt.rows, wt.cols) != (w.cols, w.rows) {
-        *wt = Tensor2::zeros(w.cols, w.rows);
-    }
-    for (i, row) in w.data.chunks_exact(w.cols).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            wt.data[j * w.rows + i] = v;
-        }
-    }
-}
-
-/// Batched transpose product `dx[b] += dy[b] · wᵀ` over a packed
-/// transposed weight view `wt` (`out × in`, as produced by
-/// [`transpose_into`] from the forward `in × out` matrix): row-major
-/// `batch × out` gradients into a `batch × in` block.
-///
-/// This is the data-gradient half of backprop. The historical scalar
-/// version walked one serial dot product per input — an unvectorizable
-/// reduction chain; over the transposed view it becomes the same
-/// register-tiled dense gemm the forward path uses, bitwise-identical
-/// across SIMD backends per FMA policy.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub fn matvec_t_acc(batch: usize, dy: &[f32], wt: &Tensor2, dx: &mut [f32]) {
-    let n = wt.rows();
-    let in_dim = wt.cols();
-    assert_eq!(dy.len(), batch * n, "matvec_t_acc: gradient block mismatch");
-    assert_eq!(
-        dx.len(),
-        batch * in_dim,
-        "matvec_t_acc: output block mismatch"
-    );
-    icsad_simd::matvec_t_acc_f32(batch, dy, n, wt.as_slice(), in_dim, dx);
 }
 
 /// Batched outer-product accumulate `dw += Xᵀ·dY`: `batch` row-major
@@ -231,36 +208,30 @@ pub fn gemm_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
 }
 
 /// Register-blocked batched product for *dense* inputs:
-/// `y[b] += x[b]ᵀ · w` like [`gemm_acc`], but without the zero-skip and
-/// with the output tile held in registers across the whole `k` loop.
+/// `y[b] += x[b]ᵀ · W` like [`gemm_acc`], but without the zero-skip, with
+/// the output tile held in registers across the whole `k` loop, and over
+/// the panel-packed copy `w` of the weights.
 ///
 /// The axpy formulation of [`matvec_acc`]/[`gemm_acc`] performs one load +
 /// one store of the output row per `k` step — fine for one-hot inputs
 /// where almost every `k` is skipped, but store-bound for dense inputs
 /// (recurrent state, hidden activations). The dispatched kernel
 /// ([`icsad_simd::gemm_dense_acc_f32`]) holds a register tile of four
-/// lanes × two vectors over a packed weight column block, so each packed
+/// lanes × two vectors and reads the weight panels in place, so each
 /// weight vector is loaded once per tile and output stores happen once per
 /// tile instead of once per `k`.
 ///
 /// Per output element the `k` contributions are still accumulated in one
 /// ascending chain, so results compare equal (`f32 ==`) to per-lane
-/// [`matvec_acc`]; including `xi == 0` terms can only flip the sign of a
-/// zero, which `==` and every downstream consumer treat identically.
+/// [`matvec_acc`] on the row-major weights; including `xi == 0` terms can
+/// only flip the sign of a zero, which `==` and every downstream consumer
+/// treat identically.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn gemm_dense_acc(batch: usize, x: &[f32], w: &Tensor2, y: &mut [f32]) {
-    let k_dim = w.rows();
-    let n = w.cols();
-    assert_eq!(
-        x.len(),
-        batch * k_dim,
-        "gemm_dense_acc: input block mismatch"
-    );
-    assert_eq!(y.len(), batch * n, "gemm_dense_acc: output block mismatch");
-    icsad_simd::gemm_dense_acc_f32(batch, x, k_dim, w.as_slice(), n, y);
+pub fn gemm_dense_acc(batch: usize, x: &[f32], w: &Panels, y: &mut [f32]) {
+    icsad_simd::gemm_dense_acc_f32(batch, x, w, y);
 }
 
 /// `y += a * x` over slices (under the dispatched FMA policy).
@@ -319,33 +290,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transpose_into_flips_and_resizes() {
-        let w = w23();
-        let mut wt = Tensor2::zeros(1, 1);
-        transpose_into(&w, &mut wt);
-        assert_eq!((wt.rows(), wt.cols()), (3, 2));
-        assert_eq!(wt.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    fn wt23() -> Panels {
+        let mut wt = Panels::default();
+        w23().pack_transposed_into(&mut wt);
+        wt
     }
 
     #[test]
-    fn matvec_t_matches_manual() {
-        let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
+    fn transposed_pack_product_matches_manual() {
         let mut dx = vec![0.0; 2];
-        matvec_t_acc(1, &[1.0, 0.0, 1.0], &wt, &mut dx);
+        gemm_dense_acc(1, &[1.0, 0.0, 1.0], &wt23(), &mut dx);
         assert_eq!(dx, vec![4.0, 10.0]);
     }
 
     #[test]
-    fn matvec_t_batches_rows_independently() {
-        let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
+    fn transposed_pack_product_batches_rows_independently() {
         let dy = [1.0, 0.0, 1.0, 0.0, 2.0, 0.0];
         let mut dx = vec![0.0; 4];
-        matvec_t_acc(2, &dy, &wt, &mut dx);
+        gemm_dense_acc(2, &dy, &wt23(), &mut dx);
         assert_eq!(dx, vec![4.0, 10.0, 4.0, 10.0]);
     }
 
@@ -374,14 +336,12 @@ mod tests {
     fn transpose_consistency() {
         // <W x, y> == <x, W^T y> for random-ish data.
         let w = w23();
-        let mut wt = Tensor2::zeros(3, 2);
-        transpose_into(&w, &mut wt);
         let x = [0.3f32, -1.2];
         let y = [2.0f32, -0.5, 0.25];
         let mut wx = vec![0.0; 3];
         matvec_acc(&w, &x, &mut wx);
         let mut wty = vec![0.0; 2];
-        matvec_t_acc(1, &y, &wt, &mut wty);
+        gemm_dense_acc(1, &y, &wt23(), &mut wty);
         let lhs: f32 = wx.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(wty.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-5);
@@ -460,7 +420,9 @@ mod tests {
         // Non-zero initial contents stand in for a preloaded bias.
         let mut batched: Vec<f32> = (0..6 * 37).map(|i| (i % 5) as f32 - 2.0).collect();
         let reference = batched.clone();
-        gemm_dense_acc(6, &x, &w, &mut batched);
+        let mut panels = Panels::default();
+        w.pack_into(&mut panels);
+        gemm_dense_acc(6, &x, &panels, &mut batched);
         for b in 0..6 {
             let mut single = reference[b * 37..(b + 1) * 37].to_vec();
             matvec_acc(&w, &x[b * 70..(b + 1) * 70], &mut single);
@@ -476,7 +438,7 @@ mod tests {
     fn gemm_dense_empty_batch_is_noop() {
         let w = w23();
         let mut y: Vec<f32> = vec![];
-        gemm_dense_acc(0, &[], &w, &mut y);
+        gemm_dense_acc(0, &[], &Panels::from_row_major(2, 3, w.as_slice()), &mut y);
         assert!(y.is_empty());
     }
 
@@ -485,7 +447,12 @@ mod tests {
     fn gemm_dense_rejects_bad_block() {
         let w = w23();
         let mut y = vec![0.0; 3];
-        gemm_dense_acc(2, &[1.0, 2.0, 3.0], &w, &mut y);
+        gemm_dense_acc(
+            2,
+            &[1.0, 2.0, 3.0],
+            &Panels::from_row_major(2, 3, w.as_slice()),
+            &mut y,
+        );
     }
 
     #[test]

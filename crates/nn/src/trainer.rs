@@ -254,8 +254,7 @@ impl Trainer {
                     grads.scale(self.config.grad_clip / norm);
                 }
             }
-            let mut slots = model.params_with_grads(&grads);
-            self.adam.step(&mut slots);
+            model.apply_update(&grads, |slots| self.adam.step(slots));
             pack.refresh(model);
         }
 

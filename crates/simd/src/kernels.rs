@@ -13,6 +13,7 @@
 
 use crate::lanes::{Element, F32Lanes, Lanes};
 use crate::math;
+use crate::panels::{pack_block, PANEL_WIDTH};
 
 /// Lanes of the batch dimension processed per register tile in the dense
 /// gemm (4 output rows share each loaded weight vector).
@@ -90,124 +91,155 @@ pub(crate) fn gemm_sparse_body<L: Lanes>(
     }
 }
 
-/// Column-tile width of the scalar (`WIDTH == 1`) instantiation: a plain
-/// element array this wide both amortizes the `x` re-streaming across many
-/// columns and gives LLVM's auto-vectorizer the same shape the historical
-/// hand-tiled scalar kernel had.
-const SCALAR_J_TILE: usize = 32;
-
-/// Register-tiled dense gemm: `y[b] += x[b]ᵀ·W` without the zero skip, the
-/// output tile held in registers across the whole `k` loop.
-///
-/// The weight operand is abstracted by `w_tile(k, j0, dst)`, which copies
-/// `W[k][j0 .. j0+dst.len()]` into a packed column-block buffer — a plain
-/// row slice for the `f32` kernels, a strided transpose read for the `f64`
-/// `batch_matvec` (whose "weights" are the matrix rows). Packing streams
-/// the weights once per call; every lane tile then re-reads the pack from
-/// L1 with exact-width vector loads.
+/// Register-tiled dense gemm over panel-packed weights: `y[b] += x[b]ᵀ·W`
+/// without the zero skip, each output tile held in registers across the
+/// whole `k` loop. `panels` is a [`crate::Panels`] matrix's data; every
+/// panel is read in place.
 #[inline(always)]
-pub(crate) fn gemm_dense_body<L: Lanes>(
+pub(crate) fn gemm_panels_body<L: Lanes>(
+    batch: usize,
+    x: &[L::Elem],
+    k_dim: usize,
+    panels: &[L::Elem],
+    n: usize,
+    y: &mut [L::Elem],
+) {
+    debug_assert_eq!(x.len(), batch * k_dim);
+    debug_assert_eq!(panels.len(), k_dim * n);
+    debug_assert_eq!(y.len(), batch * n);
+    let mut j0 = 0;
+    while j0 < n {
+        let pw = PANEL_WIDTH.min(n - j0);
+        let block = &panels[j0 * k_dim..(j0 + pw) * k_dim];
+        gemm_block::<L>(batch, x, k_dim, n, y, j0, block, pw);
+        j0 += pw;
+    }
+}
+
+/// `y[b][j0 + c] += Σ_k x[b][k]·block[k·pw + c]` for the `pw` columns of
+/// one packed panel (`k_dim` contiguous rows of width `pw`). Vector
+/// backends walk the panel in sub-tiles of two vectors; the scalar backend
+/// takes a full-width panel as one element-array tile; columns left over
+/// run element-level fmacs. Every path accumulates each output element in
+/// one ascending-`k` chain under the same `fmac` policy, so the split
+/// cannot change a bit.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_block<L: Lanes>(
     batch: usize,
     x: &[L::Elem],
     k_dim: usize,
     n: usize,
     y: &mut [L::Elem],
-    pack: &mut Vec<L::Elem>,
-    w_tile: &impl Fn(usize, usize, &mut [L::Elem]),
+    j0: usize,
+    block: &[L::Elem],
+    pw: usize,
 ) {
-    debug_assert_eq!(x.len(), batch * k_dim);
-    debug_assert_eq!(y.len(), batch * n);
-    let jt_full = if L::WIDTH == 1 {
-        SCALAR_J_TILE
+    let mut c0 = 0;
+    if L::WIDTH == 1 {
+        if pw == PANEL_WIDTH {
+            gemm_dense_scalar_tile::<L>(batch, x, k_dim, n, y, j0, block);
+            c0 = pw;
+        }
     } else {
-        2 * L::WIDTH
-    };
-    if pack.len() < k_dim * jt_full {
-        pack.resize(k_dim * jt_full, L::Elem::ZERO);
+        let st = 2 * L::WIDTH;
+        while c0 + st <= pw {
+            gemm_vector_tile::<L>(batch, x, k_dim, n, y, j0, block, pw, c0);
+            c0 += st;
+        }
     }
-    let mut j0 = 0;
-    while j0 < n {
-        let jb = jt_full.min(n - j0);
-        let packed = &mut pack[..k_dim * jb];
-        for (k, dst) in packed.chunks_exact_mut(jb).enumerate() {
-            w_tile(k, j0, dst);
-        }
-        let packed = &packed[..];
-        if jb == jt_full && L::WIDTH == 1 {
-            gemm_dense_scalar_tile::<L>(batch, x, k_dim, n, y, j0, packed);
-        } else if jb == jt_full {
-            let mut b0 = 0;
-            // Quads of batch rows take the register-tiled fast path.
-            while b0 + LANE_TILE <= batch {
-                let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
-                let (x0, x1) = x01.split_at(k_dim);
-                let (x2, x3) = x23.split_at(k_dim);
-                let mut acc = [[L::splat(L::Elem::ZERO); 2]; LANE_TILE];
-                for (bi, row) in acc.iter_mut().enumerate() {
-                    let yr = &y[(b0 + bi) * n + j0..];
-                    row[0] = L::load(yr);
-                    row[1] = L::load(&yr[L::WIDTH..]);
-                }
-                let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
-                for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(packed.chunks_exact(jt_full)) {
-                    let w0 = L::load(wr);
-                    let w1 = L::load(&wr[L::WIDTH..]);
-                    let v0 = L::splat(a0);
-                    acc[0][0] = acc[0][0].fmac(v0, w0);
-                    acc[0][1] = acc[0][1].fmac(v0, w1);
-                    let v1 = L::splat(a1);
-                    acc[1][0] = acc[1][0].fmac(v1, w0);
-                    acc[1][1] = acc[1][1].fmac(v1, w1);
-                    let v2 = L::splat(a2);
-                    acc[2][0] = acc[2][0].fmac(v2, w0);
-                    acc[2][1] = acc[2][1].fmac(v2, w1);
-                    let v3 = L::splat(a3);
-                    acc[3][0] = acc[3][0].fmac(v3, w0);
-                    acc[3][1] = acc[3][1].fmac(v3, w1);
-                }
-                for (bi, row) in acc.iter().enumerate() {
-                    let yr = &mut y[(b0 + bi) * n + j0..];
-                    row[0].store(yr);
-                    row[1].store(&mut yr[L::WIDTH..]);
-                }
-                b0 += LANE_TILE;
-            }
-            // Leftover batch rows, one at a time on the same column tile.
-            for b in b0..batch {
-                let x_row = &x[b * k_dim..(b + 1) * k_dim];
-                let yr = &y[b * n + j0..];
-                let mut a0 = L::load(yr);
-                let mut a1 = L::load(&yr[L::WIDTH..]);
-                for (&xv, wr) in x_row.iter().zip(packed.chunks_exact(jt_full)) {
-                    let v = L::splat(xv);
-                    a0 = a0.fmac(v, L::load(wr));
-                    a1 = a1.fmac(v, L::load(&wr[L::WIDTH..]));
-                }
-                let yr = &mut y[b * n + j0..];
-                a0.store(yr);
-                a1.store(&mut yr[L::WIDTH..]);
-            }
-        } else {
-            // Ragged trailing columns: per-element chains, same ascending-k
-            // order and fmac policy.
-            for b in 0..batch {
-                let x_row = &x[b * k_dim..(b + 1) * k_dim];
-                for jj in 0..jb {
-                    let mut a = y[b * n + j0 + jj];
-                    for (k, &xv) in x_row.iter().enumerate() {
-                        a = L::fmac_e(a, xv, packed[k * jb + jj]);
-                    }
-                    y[b * n + j0 + jj] = a;
-                }
+    if c0 == pw {
+        return;
+    }
+    // Ragged trailing columns: element-level fmacs under the same policy,
+    // `k` outermost so the columns' chains run side by side (each still
+    // ascending in `k`) instead of one latency-bound chain at a time.
+    for b in 0..batch {
+        let x_row = &x[b * k_dim..(b + 1) * k_dim];
+        let yr = &mut y[b * n + j0 + c0..b * n + j0 + pw];
+        for (&xv, wr) in x_row.iter().zip(block.chunks_exact(pw)) {
+            for (a, &w) in yr.iter_mut().zip(&wr[c0..]) {
+                *a = L::fmac_e(*a, xv, w);
             }
         }
-        j0 += jb;
     }
 }
 
-/// The full-width column tile of [`gemm_dense_body`] for the scalar
-/// backend: [`SCALAR_J_TILE`]-wide element-array accumulators instead of
-/// two one-element "vectors". Per output element the `k` order and `fmac`
+/// One two-vector column sub-tile (panel columns `c0 .. c0 + 2·WIDTH`) of
+/// [`gemm_block`] for the vector backends: quads of batch rows share each
+/// loaded weight vector, leftover rows run one at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_vector_tile<L: Lanes>(
+    batch: usize,
+    x: &[L::Elem],
+    k_dim: usize,
+    n: usize,
+    y: &mut [L::Elem],
+    j0: usize,
+    block: &[L::Elem],
+    pw: usize,
+    c0: usize,
+) {
+    let st = 2 * L::WIDTH;
+    let j = j0 + c0;
+    let mut b0 = 0;
+    while b0 + LANE_TILE <= batch {
+        let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
+        let (x0, x1) = x01.split_at(k_dim);
+        let (x2, x3) = x23.split_at(k_dim);
+        let mut acc = [[L::splat(L::Elem::ZERO); 2]; LANE_TILE];
+        for (bi, row) in acc.iter_mut().enumerate() {
+            let yr = &y[(b0 + bi) * n + j..];
+            row[0] = L::load(yr);
+            row[1] = L::load(&yr[L::WIDTH..]);
+        }
+        let lanes = x0.iter().zip(x1.iter()).zip(x2.iter()).zip(x3.iter());
+        for ((((&a0, &a1), &a2), &a3), wr) in lanes.zip(block.chunks_exact(pw)) {
+            let ws = &wr[c0..c0 + st];
+            let w0 = L::load(ws);
+            let w1 = L::load(&ws[L::WIDTH..]);
+            let v0 = L::splat(a0);
+            acc[0][0] = acc[0][0].fmac(v0, w0);
+            acc[0][1] = acc[0][1].fmac(v0, w1);
+            let v1 = L::splat(a1);
+            acc[1][0] = acc[1][0].fmac(v1, w0);
+            acc[1][1] = acc[1][1].fmac(v1, w1);
+            let v2 = L::splat(a2);
+            acc[2][0] = acc[2][0].fmac(v2, w0);
+            acc[2][1] = acc[2][1].fmac(v2, w1);
+            let v3 = L::splat(a3);
+            acc[3][0] = acc[3][0].fmac(v3, w0);
+            acc[3][1] = acc[3][1].fmac(v3, w1);
+        }
+        for (bi, row) in acc.iter().enumerate() {
+            let yr = &mut y[(b0 + bi) * n + j..];
+            row[0].store(yr);
+            row[1].store(&mut yr[L::WIDTH..]);
+        }
+        b0 += LANE_TILE;
+    }
+    // Leftover batch rows, one at a time on the same column tile.
+    for b in b0..batch {
+        let x_row = &x[b * k_dim..(b + 1) * k_dim];
+        let yr = &y[b * n + j..];
+        let mut a0 = L::load(yr);
+        let mut a1 = L::load(&yr[L::WIDTH..]);
+        for (&xv, wr) in x_row.iter().zip(block.chunks_exact(pw)) {
+            let ws = &wr[c0..c0 + st];
+            let v = L::splat(xv);
+            a0 = a0.fmac(v, L::load(ws));
+            a1 = a1.fmac(v, L::load(&ws[L::WIDTH..]));
+        }
+        let yr = &mut y[b * n + j..];
+        a0.store(yr);
+        a1.store(&mut yr[L::WIDTH..]);
+    }
+}
+
+/// A full-width panel of [`gemm_block`] for the scalar backend:
+/// [`PANEL_WIDTH`]-wide element-array accumulators instead of two
+/// one-element "vectors". Per output element the `k` order and `fmac`
 /// policy are identical to the vector tiles, so results stay bitwise equal
 /// — this path exists purely so non-SIMD targets (and the force-scalar CI
 /// job) keep the register-tiled shape the pre-dispatch kernel had.
@@ -222,7 +254,7 @@ fn gemm_dense_scalar_tile<L: Lanes>(
     packed: &[L::Elem],
 ) {
     const LT: usize = LANE_TILE;
-    const JT: usize = SCALAR_J_TILE;
+    const JT: usize = PANEL_WIDTH;
     let mut b0 = 0;
     while b0 + LT <= batch {
         let (x01, x23) = x[b0 * k_dim..(b0 + 4) * k_dim].split_at(2 * k_dim);
@@ -412,18 +444,15 @@ pub(crate) fn gemm_sparse_f32<L: Lanes<Elem = f32>>(
 }
 
 #[inline(always)]
-pub(crate) fn gemm_dense_f32<L: Lanes<Elem = f32>>(
+pub(crate) fn gemm_panels_f32<L: Lanes<Elem = f32>>(
     batch: usize,
     x: &[f32],
     k_dim: usize,
-    w: &[f32],
+    panels: &[f32],
     n: usize,
     y: &mut [f32],
-    pack: &mut Vec<f32>,
 ) {
-    gemm_dense_body::<L>(batch, x, k_dim, n, y, pack, &|k, j0, dst| {
-        dst.copy_from_slice(&w[k * n + j0..k * n + j0 + dst.len()])
-    })
+    gemm_panels_body::<L>(batch, x, k_dim, panels, n, y)
 }
 
 #[inline(always)]
@@ -490,11 +519,20 @@ pub(crate) fn batch_matvec_f64<L: Lanes<Elem = f64>>(
     y: &mut [f64],
     pack: &mut Vec<f64>,
 ) {
-    gemm_dense_body::<L>(batch, xs, k_dim, rows, y, pack, &|k, j0, dst| {
-        for (jj, d) in dst.iter_mut().enumerate() {
-            *d = a[(j0 + jj) * k_dim + k];
-        }
-    })
+    // The "weights" are the matrix rows: each panel-wide block of rows is
+    // transposed into the pack per call (strided reads), then run through
+    // the same panel kernel as the f32 gemm.
+    if pack.len() < k_dim * PANEL_WIDTH {
+        pack.resize(k_dim * PANEL_WIDTH, 0.0);
+    }
+    let mut j0 = 0;
+    while j0 < rows {
+        let pw = PANEL_WIDTH.min(rows - j0);
+        let block = &mut pack[..k_dim * pw];
+        pack_block(block, k_dim, j0, pw, &|k, j| a[j * k_dim + k]);
+        gemm_block::<L>(batch, xs, k_dim, rows, y, j0, block, pw);
+        j0 += pw;
+    }
 }
 
 /// The x86 entry points: one module per backend, each compiled with that
@@ -531,16 +569,15 @@ pub(crate) mod x86_entries {
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.
                 #[target_feature(enable = $feat)]
-                pub(crate) unsafe fn gemm_dense_f32(
+                pub(crate) unsafe fn gemm_panels_f32(
                     batch: usize,
                     x: &[f32],
                     k_dim: usize,
-                    w: &[f32],
+                    panels: &[f32],
                     n: usize,
                     y: &mut [f32],
-                    pack: &mut Vec<f32>,
                 ) {
-                    super::super::gemm_dense_f32::<$f32ty>(batch, x, k_dim, w, n, y, pack)
+                    super::super::gemm_panels_f32::<$f32ty>(batch, x, k_dim, panels, n, y)
                 }
 
                 // SAFETY: module contract — `$feat` confirmed before dispatch.

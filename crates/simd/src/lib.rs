@@ -56,6 +56,7 @@ pub mod lanes;
 pub mod math;
 
 mod kernels;
+mod panels;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
 
@@ -63,6 +64,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use lanes::ScalarLane;
+pub use panels::Panels;
 
 /// A kernel backend: how many lanes each vector op processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -327,8 +329,9 @@ pub fn reset() {
 }
 
 thread_local! {
-    /// Packed weight-tile buffer for the dense f32 gemm (steady-state
-    /// allocation-free).
+    /// Transposed-input buffer for the f32 outer-product gradient
+    /// (steady-state allocation-free). Weights are never packed per call:
+    /// the dense gemm reads [`Panels`] its caller built once.
     static PACK_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Packed (transposed) tile buffer for the f64 batched matvec.
     static PACK_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -449,21 +452,22 @@ pub fn gemm_acc_f32_with(
 }
 
 /// Register-tiled dense `y[b] += x[b]ᵀ·W` (no zero skip; right for dense
-/// activations). Accumulation order and rounding match [`gemm_acc_f32`]
-/// except that zero entries contribute an exact `+±0`.
+/// activations) over a panel-packed `k_dim × n` weight matrix `w` (see
+/// [`Panels`]; packed once by the weights' owner, read in place here).
+/// Accumulation order and rounding match [`gemm_acc_f32`] on the same
+/// row-major weights except that zero entries contribute an exact `+±0`,
+/// so results compare equal (`==`) to the per-record kernel.
+///
+/// Over a [`Panels::pack_transposed`] pack this is also the backward
+/// data-gradient product `dX += dY·Wᵀ`: vectorization runs along the
+/// independent input dimension and the contraction ascends per output
+/// element, so SIMD ≡ scalar stays bitwise per FMA policy for training too.
 ///
 /// # Panics
 ///
 /// Panics on block-size mismatch.
-pub fn gemm_dense_acc_f32(
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-) {
-    gemm_dense_acc_f32_with(current(), batch, x, k_dim, w, n, y)
+pub fn gemm_dense_acc_f32(batch: usize, x: &[f32], w: &Panels, y: &mut [f32]) {
+    gemm_dense_acc_f32_with(current(), batch, x, w, y)
 }
 
 /// [`gemm_dense_acc_f32`] with an explicit backend selection.
@@ -474,87 +478,16 @@ pub fn gemm_dense_acc_f32(
 // SAFETY: see the dispatch module — the expanded unsafe calls only reach
 // backends `clamp` admitted for this CPU.
 #[allow(unsafe_code)]
-pub fn gemm_dense_acc_f32_with(
-    sel: Selection,
-    batch: usize,
-    x: &[f32],
-    k_dim: usize,
-    w: &[f32],
-    n: usize,
-    y: &mut [f32],
-) {
+pub fn gemm_dense_acc_f32_with(sel: Selection, batch: usize, x: &[f32], w: &Panels, y: &mut [f32]) {
     assert!(supported(sel), "kernel backend {sel:?} not supported here");
+    let (k_dim, n) = (w.k_dim(), w.n());
     assert_eq!(
         x.len(),
         batch * k_dim,
         "gemm_dense_acc: input block mismatch"
     );
-    assert_eq!(w.len(), k_dim * n, "gemm_dense_acc: weight block mismatch");
     assert_eq!(y.len(), batch * n, "gemm_dense_acc: output block mismatch");
-    PACK_F32.with(|cell| {
-        let pack = &mut cell.borrow_mut();
-        dispatch_f32!(sel, gemm_dense_f32(batch, x, k_dim, w, n, y, pack))
-    })
-}
-
-/// Transposed-weight backward product `dx[b][i] += Σ_j dy[b][j]·wt[j][i]`
-/// for `batch` row-major gradient rows over a row-major `n × in_dim`
-/// **transposed** weight view `wt` (i.e. `dX += dY·Wᵀ` with `wt = Wᵀ`
-/// packed row-major by the caller, typically refreshed once per optimizer
-/// step). This is the register-tiled dense gemm applied to the transposed
-/// operand: vectorization runs along the independent `i` dimension and the
-/// contraction `j` ascends per output element, so SIMD ≡ scalar stays
-/// bitwise per FMA policy — where the historical scalar `matvec_t_acc`
-/// walked serial per-row dot products that no backend could vectorize
-/// without changing the summation order.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch.
-pub fn matvec_t_acc_f32(
-    batch: usize,
-    dy: &[f32],
-    n: usize,
-    wt: &[f32],
-    in_dim: usize,
-    dx: &mut [f32],
-) {
-    matvec_t_acc_f32_with(current(), batch, dy, n, wt, in_dim, dx)
-}
-
-/// [`matvec_t_acc_f32`] with an explicit backend selection.
-///
-/// # Panics
-///
-/// Panics on block-size mismatch or an unsupported selection.
-// SAFETY: see the dispatch module — the expanded unsafe calls only reach
-// backends `clamp` admitted for this CPU.
-#[allow(unsafe_code)]
-pub fn matvec_t_acc_f32_with(
-    sel: Selection,
-    batch: usize,
-    dy: &[f32],
-    n: usize,
-    wt: &[f32],
-    in_dim: usize,
-    dx: &mut [f32],
-) {
-    assert!(supported(sel), "kernel backend {sel:?} not supported here");
-    assert_eq!(dy.len(), batch * n, "matvec_t_acc: gradient block mismatch");
-    assert_eq!(
-        wt.len(),
-        n * in_dim,
-        "matvec_t_acc: transposed weight block mismatch"
-    );
-    assert_eq!(
-        dx.len(),
-        batch * in_dim,
-        "matvec_t_acc: output block mismatch"
-    );
-    PACK_F32.with(|cell| {
-        let pack = &mut cell.borrow_mut();
-        dispatch_f32!(sel, gemm_dense_f32(batch, dy, n, wt, in_dim, dx, pack))
-    })
+    dispatch_f32!(sel, gemm_panels_f32(batch, x, k_dim, w.data(), n, y))
 }
 
 /// Batched outer-product gradient accumulation

@@ -10,8 +10,8 @@
 
 use icsad_simd::{
     axpy_f32_with, batch_matvec_acc_f64_with, gemm_acc_f32_with, gemm_dense_acc_f32_with,
-    lstm_cell_f32_with, matmul_acc_f64_with, matvec_t_acc_f32_with, outer_acc_f32_with,
-    sigmoid_in_place_with, supported_selections, tanh_in_place_with, Backend, Selection,
+    lstm_cell_f32_with, matmul_acc_f64_with, outer_acc_f32_with, sigmoid_in_place_with,
+    supported_selections, tanh_in_place_with, Backend, Panels, Selection,
 };
 use proptest::prelude::*;
 
@@ -69,6 +69,53 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// `f32 ==` per element: the dense kernel adds the `±0` terms the
+/// per-record kernel skips, which can only flip the sign of a zero.
+fn assert_f32_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        assert!(g == w, "{what}: element {i} diverges ({g} vs {w})");
+    }
+}
+
+/// Packs `w` once, runs the dense gemm on every supported backend from
+/// that one pack, and checks each result against the per-record row-major
+/// kernel (one lane at a time) and the scalar backend of the same policy.
+fn check_dense_against_per_record(
+    batch: usize,
+    x: &[f32],
+    k_dim: usize,
+    w: &[f32],
+    n: usize,
+    y0: &[f32],
+) {
+    let packed = Panels::from_row_major(k_dim, n, w);
+    for sel in supported_selections() {
+        let mut got = y0.to_vec();
+        gemm_dense_acc_f32_with(sel, batch, x, &packed, &mut got);
+        let mut per_record = y0.to_vec();
+        for b in 0..batch {
+            gemm_acc_f32_with(
+                sel,
+                1,
+                &x[b * k_dim..(b + 1) * k_dim],
+                k_dim,
+                w,
+                n,
+                &mut per_record[b * n..(b + 1) * n],
+            );
+        }
+        assert_f32_eq(&got, &per_record, sel.label());
+        let scalar = Selection {
+            backend: Backend::Scalar,
+            fma: sel.fma,
+        };
+        let mut want = y0.to_vec();
+        gemm_dense_acc_f32_with(scalar, batch, x, &packed, &mut want);
+        assert_bits_eq(&got, &want, sel.label());
+    }
+}
+
 fn assert_bits_eq_f64(got: &[f64], want: &[f64], what: &str) {
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         assert_eq!(
@@ -102,11 +149,16 @@ proptest! {
         }
     }
 
+    /// The panel-packed dense gemm: one pack of the weights serves every
+    /// backend, and every backend's result compares equal to the
+    /// per-record row-major kernel stepping each lane alone (the zero-skip
+    /// only drops `±0` terms) and bitwise to the scalar backend of its FMA
+    /// policy. Widths up to 70 span two panels plus a ragged tail.
     #[test]
-    fn gemm_dense_acc_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=49,
+    fn gemm_dense_acc_matches_per_record_kernel(
+        batch in 0usize..=13,
+        k_dim in 1usize..=70,
+        n in 1usize..=70,
         sx in proptest::collection::vec(0u8..=255, batch * k_dim),
         rx in proptest::collection::vec(-8f32..8.0, batch * k_dim),
         sw in proptest::collection::vec(0u8..=255, k_dim * n),
@@ -115,59 +167,49 @@ proptest! {
     ) {
         let x = mix(&sx, &rx);
         let w = mix(&sw, &rw);
-        for (sel, scalar) in pairs() {
-            let mut got = y0.clone();
-            gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut got);
-            let mut want = y0.clone();
-            gemm_dense_acc_f32_with(scalar, batch, &x, k_dim, &w, n, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
-        }
+        check_dense_against_per_record(batch, &x, k_dim, &w, n, &y0);
     }
 
-    /// The zero-skip is bitwise-neutral (skipped terms only contribute ±0):
-    /// the layers rely on mixing the sparse and dense kernels freely.
+    /// The BPTT data-gradient product `dX += dY·Wᵀ` is the dense gemm over
+    /// a transposed pack: equal to the per-record kernel over the explicit
+    /// row-major transpose, bitwise across backends.
     #[test]
-    fn dense_equals_sparse_on_every_backend(
-        batch in 1usize..=13,
-        k_dim in 1usize..=49,
-        n in 1usize..=49,
-        sx in proptest::collection::vec(0u8..=255, batch * k_dim),
-        rx in proptest::collection::vec(-8f32..8.0, batch * k_dim),
-        sw in proptest::collection::vec(0u8..=255, k_dim * n),
-        rw in proptest::collection::vec(-8f32..8.0, k_dim * n),
+    fn transposed_pack_matches_per_record_kernel(
+        batch in 0usize..=13,
+        n in 1usize..=70,
+        in_dim in 1usize..=70,
+        sdy in proptest::collection::vec(0u8..=255, batch * n),
+        rdy in proptest::collection::vec(-8f32..8.0, batch * n),
+        w in proptest::collection::vec(-8f32..8.0, in_dim * n),
+        dx0 in proptest::collection::vec(-4f32..4.0, batch * in_dim),
     ) {
-        let x = mix(&sx, &rx);
-        let w = mix(&sw, &rw);
+        // `w` is the forward `in_dim × n` matrix; the product contracts
+        // over its columns.
+        let dy = mix(&sdy, &rdy);
+        let mut packed = Panels::default();
+        packed.pack_transposed(in_dim, n, &w);
+        let mut wt = vec![0.0f32; n * in_dim];
+        for i in 0..in_dim {
+            for j in 0..n {
+                wt[j * in_dim + i] = w[i * n + j];
+            }
+        }
         for sel in supported_selections() {
-            let mut dense = vec![0.25f32; batch * n];
-            gemm_dense_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut dense);
-            let mut sparse = vec![0.25f32; batch * n];
-            gemm_acc_f32_with(sel, batch, &x, k_dim, &w, n, &mut sparse);
-            assert_bits_eq(&dense, &sparse, sel.label());
-        }
-    }
-
-    /// The BPTT data-gradient kernel: every backend × ragged widths,
-    /// bitwise against the scalar backend of the same FMA policy.
-    #[test]
-    fn matvec_t_acc_matches_scalar_bitwise(
-        batch in 1usize..=13,
-        n in 1usize..=49,
-        in_dim in 1usize..=49,
-        sdy in proptest::collection::vec(0u8..=255, 13 * 49),
-        rdy in proptest::collection::vec(-8f32..8.0, 13 * 49),
-        wt in proptest::collection::vec(-8f32..8.0, 49 * 49),
-        dx0 in proptest::collection::vec(-4f32..4.0, 13 * 49),
-    ) {
-        let dy = mix(&sdy[..batch * n], &rdy[..batch * n]);
-        let wt = &wt[..n * in_dim];
-        let dx0 = &dx0[..batch * in_dim];
-        for (sel, scalar) in pairs() {
-            let mut got = dx0.to_vec();
-            matvec_t_acc_f32_with(sel, batch, &dy, n, wt, in_dim, &mut got);
-            let mut want = dx0.to_vec();
-            matvec_t_acc_f32_with(scalar, batch, &dy, n, wt, in_dim, &mut want);
-            assert_bits_eq(&got, &want, sel.label());
+            let mut got = dx0.clone();
+            gemm_dense_acc_f32_with(sel, batch, &dy, &packed, &mut got);
+            let mut want = dx0.clone();
+            for b in 0..batch {
+                gemm_acc_f32_with(
+                    sel,
+                    1,
+                    &dy[b * n..(b + 1) * n],
+                    n,
+                    &wt,
+                    in_dim,
+                    &mut want[b * in_dim..(b + 1) * in_dim],
+                );
+            }
+            assert_f32_eq(&got, &want, sel.label());
         }
     }
 
@@ -347,6 +389,27 @@ proptest! {
             batch_matvec_acc_f64_with(scalar, batch, &xs, k_dim, &a, rows, &mut want);
             assert_bits_eq_f64(&got, &want, sel.label());
         }
+    }
+}
+
+/// The paper-scale softmax head (256 hidden → 537 signatures: sixteen full
+/// panels plus a 25-column tail) at every round width up to 13 lanes.
+#[test]
+fn paper_scale_head_matches_per_record_kernel() {
+    let (k_dim, n) = (256, 537);
+    let w: Vec<f32> = (0..k_dim * n)
+        .map(|i| ((i * 7919 % 2003) as f32 - 1001.0) / 977.0)
+        .collect();
+    for batch in 0..=13 {
+        let x: Vec<f32> = (0..batch * k_dim)
+            .map(|i| match i % 9 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => ((i * 104_729 % 1999) as f32 - 999.0) / 1013.0,
+            })
+            .collect();
+        let y0: Vec<f32> = (0..batch * n).map(|i| (i % 7) as f32 - 3.0).collect();
+        check_dense_against_per_record(batch, &x, k_dim, &w, n, &y0);
     }
 }
 
